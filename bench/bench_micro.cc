@@ -1,8 +1,8 @@
 // Micro-benchmarks of the host-side building blocks: lock-table
 // operations, the contention managers' decision path, the CoreSet, the
-// allocator, the event engine and the RNG. These measure real CPU cost,
-// not simulated time — they bound how fast the simulator itself can run
-// experiments.
+// allocator, the fiber switch, the event engine and the RNG. These measure
+// real CPU cost, not simulated time — they bound how fast the simulator
+// itself can run experiments.
 //
 // Each micro-op runs in timed batches on the host clock; a sample is the
 // per-op time of one batch, so the reported percentiles are host-side
@@ -186,6 +186,34 @@ void Run(BenchContext& ctx) {
         }
       };
       engine.ScheduleAfter(10, tick);
+      engine.Run();
+      sink = sink + engine.events_executed();
+    });
+  }
+  {
+    // One op = one Resume + Yield round trip, the switch pair every
+    // simulated blocking step pays, with no engine around it.
+    Fiber* handle = nullptr;
+    Fiber fiber([&handle]() {
+      for (;;) {
+        handle->Yield();
+      }
+    });
+    handle = &fiber;
+    Measure(ctx, "fiber_resume_yield", 256, 2000, [&]() { fiber.Resume(); });
+  }
+  {
+    volatile uint64_t sink = 0;
+    // One op = a fresh engine whose one actor Sleeps 1000 times: the
+    // event-queue + fiber-switch path of a simulated core, which the
+    // callback-only cascade above never takes.
+    Measure(ctx, "engine_actor_sleep_1000", 1, 300, [&]() {
+      SimEngine engine;
+      engine.AddActor([&engine]() {
+        for (int i = 0; i < 1000; ++i) {
+          engine.Sleep(10);
+        }
+      });
       engine.Run();
       sink = sink + engine.events_executed();
     });

@@ -19,10 +19,49 @@ void SimEngine::SetChaos(const ChaosConfig& chaos) {
   tie_rng_.Seed(chaos.seed ^ 0xc4a05c75ull);
 }
 
-void SimEngine::ScheduleAt(SimTime t, std::function<void()> cb) {
+void SimEngine::Push(SimTime t, EventKind kind, Actor* actor, uint32_t slot) {
   TM2C_CHECK_MSG(t >= now_, "scheduling into the past");
   const uint64_t tie = shuffle_ties_ ? tie_rng_.Next() : 0;
-  events_.push(Event{t, tie, next_seq_++, std::move(cb)});
+  events_.push(Event{t, tie, next_seq_++, kind, slot, actor});
+}
+
+void SimEngine::ScheduleAt(SimTime t, std::function<void()> cb) {
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(cb);
+  }
+  Push(t, EventKind::kCallback, nullptr, slot);
+}
+
+void SimEngine::Dispatch(const Event& ev) {
+  switch (ev.kind) {
+    case EventKind::kStart:
+      if (!ev.actor->fiber->finished()) {
+        ResumeActor(ev.actor);
+      }
+      return;
+    case EventKind::kResume:
+      ResumeActor(ev.actor);
+      return;
+    case EventKind::kWake:
+      ev.actor->wake_pending = false;
+      ev.actor->blocked = false;
+      ResumeActor(ev.actor);
+      return;
+    case EventKind::kCallback: {
+      // Move the closure out first: it may schedule further callbacks,
+      // which can reuse its slot or reallocate callbacks_.
+      std::function<void()> cb = std::move(callbacks_[ev.slot]);
+      free_slots_.push_back(ev.slot);
+      cb();
+      return;
+    }
+  }
 }
 
 void SimEngine::ResumeActor(Actor* actor) {
@@ -38,27 +77,19 @@ SimTime SimEngine::Run(SimTime until) {
     started_ = true;
     // Kick off every actor at time zero, in registration order.
     for (auto& actor : actors_) {
-      Actor* a = actor.get();
-      ScheduleAt(now_, [this, a]() {
-        if (!a->fiber->finished()) {
-          ResumeActor(a);
-        }
-      });
+      Push(now_, EventKind::kStart, actor.get(), 0);
     }
   }
   stop_requested_ = false;
   while (!events_.empty() && !stop_requested_) {
-    const Event& top = events_.top();
-    if (top.time > until) {
+    const Event ev = events_.top();
+    if (ev.time > until) {
       break;
     }
-    // Moving out of the queue requires a const_cast because priority_queue
-    // only exposes const top(); the element is popped immediately after.
-    Event ev = std::move(const_cast<Event&>(top));
     events_.pop();
     now_ = ev.time;
     ++events_executed_;
-    ev.cb();
+    Dispatch(ev);
   }
   return now_;
 }
@@ -66,7 +97,7 @@ SimTime SimEngine::Run(SimTime until) {
 void SimEngine::Sleep(SimTime delay) {
   TM2C_CHECK_MSG(running_ != nullptr, "Sleep outside an actor fiber");
   Actor* self = running_;
-  ScheduleAt(now_ + delay, [this, self]() { ResumeActor(self); });
+  Push(now_ + delay, EventKind::kResume, self, 0);
   self->fiber->Yield();
 }
 
@@ -85,11 +116,7 @@ void SimEngine::WakeActor(size_t idx, SimTime delay) {
   Actor* actor = actors_[idx].get();
   TM2C_CHECK_MSG(actor->blocked && !actor->wake_pending, "WakeActor on non-blocked actor");
   actor->wake_pending = true;
-  ScheduleAt(now_ + delay, [this, actor]() {
-    actor->wake_pending = false;
-    actor->blocked = false;
-    ResumeActor(actor);
-  });
+  Push(now_ + delay, EventKind::kWake, actor, 0);
 }
 
 bool SimEngine::ActorBlocked(size_t idx) const {

@@ -1,12 +1,17 @@
 // Discrete-event simulation engine.
 //
-// The engine owns an ordered queue of (time, callback) events and a set of
-// actor fibers. The scheduler context pops events in time order; events
-// typically resume a blocked fiber, which runs until it blocks again (on a
-// simulated delay, a mailbox, or a resource queue) and yields back. Events
-// scheduled at the same instant run in FIFO order of scheduling — an
-// explicit per-event sequence number is the tie-break, never the container's
-// insertion behaviour — which keeps executions deterministic.
+// The engine owns an ordered queue of events and a set of actor fibers.
+// The scheduler context pops events in time order; events typically resume
+// a blocked fiber, which runs until it blocks again (on a simulated delay,
+// a mailbox, or a resource queue) and yields back. Events scheduled at the
+// same instant run in FIFO order of scheduling — an explicit per-event
+// sequence number is the tie-break, never the container's insertion
+// behaviour — which keeps executions deterministic.
+//
+// Fiber resumptions (start, sleep, wake) are typed events carrying only a
+// kind and the actor, so the hot path allocates nothing. ScheduleAt's
+// generic callbacks are parked in a slot table; the queue itself only ever
+// moves small plain records.
 //
 // Chaos mode (SetChaos) replaces the FIFO tie-break with a seeded random
 // draw so that one workload explores many same-instant interleavings, one
@@ -81,7 +86,9 @@ class SimEngine {
 
   // Schedules `cb` at absolute simulated time `t` (>= now).
   void ScheduleAt(SimTime t, std::function<void()> cb);
-  void ScheduleAfter(SimTime delay, std::function<void()> cb) { ScheduleAt(now_ + delay, cb); }
+  void ScheduleAfter(SimTime delay, std::function<void()> cb) {
+    ScheduleAt(now_ + delay, std::move(cb));
+  }
 
   // -- Fiber-side API (must be called from inside an actor fiber) --------
 
@@ -120,11 +127,20 @@ class SimEngine {
     size_t index = 0;
   };
 
+  enum class EventKind : uint32_t {
+    kStart,     // Run() kickoff: resume the actor unless it already finished
+    kResume,    // end of a Sleep
+    kWake,      // WakeActor: clear the blocked state, then resume
+    kCallback,  // ScheduleAt: run callbacks_[slot]
+  };
+
   struct Event {
     SimTime time;
     uint64_t tie;  // chaos shuffle draw; 0 outside chaos mode
     uint64_t seq;  // explicit monotone tie-break: FIFO among equal (time, tie)
-    std::function<void()> cb;
+    EventKind kind;
+    uint32_t slot;  // kCallback only
+    Actor* actor;   // every other kind
   };
 
   struct EventCompare {
@@ -139,10 +155,18 @@ class SimEngine {
     }
   };
 
+  // Queues one event; every scheduled event draws exactly one tie value,
+  // whatever its kind, so a seed replays the same schedule.
+  void Push(SimTime t, EventKind kind, Actor* actor, uint32_t slot);
+  void Dispatch(const Event& ev);
   void ResumeActor(Actor* actor);
 
   std::vector<std::unique_ptr<Actor>> actors_;
   std::priority_queue<Event, std::vector<Event>, EventCompare> events_;
+  // Pending ScheduleAt callbacks, indexed by Event::slot; executed slots
+  // are recycled through free_slots_.
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<uint32_t> free_slots_;
   SimTime now_ = 0;
   bool shuffle_ties_ = false;
   Rng tie_rng_{0};

@@ -1,17 +1,26 @@
-// Cooperative fibers (stackful coroutines) built on POSIX ucontext.
+// Cooperative fibers (stackful coroutines) built on a register-only
+// x86-64 context switch.
 //
 // Each simulated core runs its program on a fiber so that protocol and
 // benchmark code can be written in plain blocking style (txread() blocks on
 // a reply) while the single-threaded discrete-event engine interleaves
 // cores at simulated-time granularity.
+//
+// Switch contract (see fiber.cc): a switch saves and restores exactly what
+// the x86-64 SysV ABI makes callee-saved — rbx, rbp, r12-r15, the MXCSR and
+// the x87 control word — so every fiber keeps its own SSE/x87 rounding and
+// exception-mask state. The signal mask is deliberately NOT switched (no
+// fiber changes it), which is what keeps a switch free of system calls.
+// x86-64 only; other architectures fail to build.
+//
+// Stacks are mmap'd with a PROT_NONE guard page below them, so a fiber
+// that overflows its stack faults instead of corrupting the heap. Pages are
+// faulted in lazily: an untouched stack costs address space, not memory.
 #ifndef TM2C_SRC_SIM_FIBER_H_
 #define TM2C_SRC_SIM_FIBER_H_
 
-#include <ucontext.h>
-
 #include <cstddef>
 #include <functional>
-#include <memory>
 
 namespace tm2c {
 
@@ -67,15 +76,16 @@ class Fiber {
   static constexpr size_t kDefaultStackSize = 256 * 1024;
 
  private:
-  static void Trampoline(unsigned int hi, unsigned int lo);
+  static void Trampoline(Fiber* self);
 
   Fn fn_;
-  std::unique_ptr<char[]> stack_;
+  char* mapping_ = nullptr;  // guard page + stack, one mmap
+  size_t mapping_size_ = 0;
+  char* stack_ = nullptr;  // lowest usable stack byte, just above the guard
   size_t stack_size_ = 0;
-  ucontext_t context_;
-  ucontext_t return_context_;
-  bool started_ = false;
-  bool began_ = false;  // first Resume happened: fn_ is on the stack
+  void* sp_ = nullptr;        // the fiber's saved stack pointer while suspended
+  void* sched_sp_ = nullptr;  // the scheduler's saved stack pointer while inside
+  bool began_ = false;        // first Resume happened: fn_ is on the stack
   bool finished_ = false;
   bool unwinding_ = false;
 

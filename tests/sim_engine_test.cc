@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <memory>
+#include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/engine.h"
 #include "src/sim/fiber.h"
 #include "src/sim/time.h"
@@ -43,6 +52,248 @@ TEST(Fiber, CurrentTracksRunningFiber) {
   EXPECT_EQ(Fiber::Current(), nullptr);
 }
 
+uint32_t Mxcsr() {
+  uint32_t v = 0;
+  asm volatile("stmxcsr %0" : "=m"(v));
+  return v;
+}
+
+uint16_t X87ControlWord() {
+  uint16_t v = 0;
+  asm volatile("fnstcw %0" : "=m"(v));
+  return v;
+}
+
+// Rounding-control fields: x87 CW bits 10-11 (the FE_* constants' own
+// position), MXCSR bits 13-14.
+uint32_t MxcsrRounding() { return (Mxcsr() >> 3) & 0xc00; }
+uint32_t X87Rounding() { return X87ControlWord() & 0xc00u; }
+
+TEST(Fiber, FloatingPointControlWordsArePerContext) {
+  const uint32_t sched_mxcsr = Mxcsr();
+  const uint16_t sched_cw = X87ControlWord();
+  ASSERT_EQ(MxcsrRounding(), static_cast<uint32_t>(FE_TONEAREST));
+
+  Fiber* a_handle = nullptr;
+  uint32_t a_mxcsr_rounding = 0;
+  uint32_t a_x87_rounding = 0;
+  Fiber a([&]() {
+    std::fesetround(FE_DOWNWARD);
+    a_handle->Yield();
+    a_mxcsr_rounding = MxcsrRounding();
+    a_x87_rounding = X87Rounding();
+  });
+  a_handle = &a;
+  uint32_t b_mxcsr = 0;
+  uint16_t b_cw = 0;
+  Fiber b([&]() {
+    b_mxcsr = Mxcsr();
+    b_cw = X87ControlWord();
+    std::fesetround(FE_UPWARD);  // finishes with it set
+  });
+
+  a.Resume();  // a switches to round-down, then yields
+  EXPECT_EQ(Mxcsr(), sched_mxcsr);
+  EXPECT_EQ(X87ControlWord(), sched_cw);
+  b.Resume();  // the sibling starts with its creator's state, not a's
+  EXPECT_EQ(b_mxcsr, sched_mxcsr);
+  EXPECT_EQ(b_cw, sched_cw);
+  EXPECT_EQ(Mxcsr(), sched_mxcsr);
+  EXPECT_EQ(X87ControlWord(), sched_cw);
+  a.Resume();  // a still sees its own mode after the round trip
+  EXPECT_EQ(a_mxcsr_rounding, static_cast<uint32_t>(FE_DOWNWARD));
+  EXPECT_EQ(a_x87_rounding, static_cast<uint32_t>(FE_DOWNWARD));
+  EXPECT_EQ(Mxcsr(), sched_mxcsr);
+  EXPECT_EQ(X87ControlWord(), sched_cw);
+}
+
+[[noreturn]] __attribute__((noinline)) void ThrowFrom(int depth) {
+  if (depth > 0) {
+    ThrowFrom(depth - 1);
+  }
+  throw std::runtime_error("deep");
+}
+
+TEST(Fiber, ExceptionThrownAndCaughtAcrossYield) {
+  Fiber* handle = nullptr;
+  std::vector<std::string> caught;
+  Fiber f([&]() {
+    try {
+      handle->Yield();  // suspended inside the try block
+      ThrowFrom(4);
+    } catch (const std::runtime_error& e) {
+      caught.push_back(e.what());
+    }
+    try {
+      ThrowFrom(0);
+    } catch (const std::runtime_error& e) {
+      handle->Yield();  // suspended inside the handler
+      caught.push_back(e.what());
+    }
+  });
+  handle = &f;
+  f.Resume();
+  EXPECT_TRUE(caught.empty());
+  f.Resume();
+  EXPECT_EQ(caught, (std::vector<std::string>{"deep"}));
+  f.Resume();
+  EXPECT_EQ(caught, (std::vector<std::string>{"deep", "deep"}));
+  EXPECT_TRUE(f.finished());
+}
+
+struct CountOnDestroy {
+  int* count;
+  ~CountOnDestroy() { ++*count; }
+};
+
+__attribute__((noinline)) void SuspendDeep(Fiber* f, int depth, int* destroyed) {
+  CountOnDestroy guard{destroyed};
+  if (depth == 0) {
+    f->Yield();
+    return;
+  }
+  SuspendDeep(f, depth - 1, destroyed);
+}
+
+TEST(Fiber, UnwindRunsEveryDestructorOfADeepStack) {
+  int destroyed = 0;
+  bool reached_end = false;
+  Fiber* handle = nullptr;
+  Fiber f([&]() {
+    SuspendDeep(handle, 5, &destroyed);
+    reached_end = true;
+  });
+  handle = &f;
+  f.Resume();
+  EXPECT_EQ(destroyed, 0);
+  f.Unwind();
+  EXPECT_EQ(destroyed, 6);  // depth 5..0
+  EXPECT_TRUE(f.finished());
+  EXPECT_FALSE(reached_end);
+}
+
+TEST(Fiber, NeverResumedFiberIsDestroyedCleanly) {
+  auto token = std::make_shared<int>(0);
+  bool ran = false;
+  {
+    Fiber f([token, &ran]() { ran = true; });
+    EXPECT_EQ(token.use_count(), 2);
+    f.Unwind();  // no-op: nothing of the body is on the stack
+    EXPECT_FALSE(f.finished());
+  }
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// With a frame pointer, the callee's frame address is its entry rsp - 8:
+// 16-byte aligned exactly when the caller's call site was.
+__attribute__((noinline)) uintptr_t FrameMisalignment() {
+  return reinterpret_cast<uintptr_t>(__builtin_frame_address(0)) % 16;
+}
+
+TEST(Fiber, StackIsSixteenByteAlignedAtEntryAndAfterResume) {
+  std::vector<uintptr_t> misalignment;
+  Fiber* handle = nullptr;
+  Fiber f([&]() {
+    misalignment.push_back(FrameMisalignment());
+    handle->Yield();
+    misalignment.push_back(FrameMisalignment());
+  });
+  handle = &f;
+  f.Resume();
+  f.Resume();
+  EXPECT_EQ(misalignment, (std::vector<uintptr_t>{0, 0}));
+}
+
+TEST(Fiber, ManyFibersInterleaveReplayably) {
+  constexpr int kFibers = 64;
+  constexpr int kCycles = 10000;
+  auto run = []() {
+    std::vector<std::unique_ptr<Fiber>> fibers(kFibers);
+    uint64_t trace = 0xcbf29ce484222325ull;  // FNV-1a over (fiber, cycle)
+    bool all_current = true;
+    for (int i = 0; i < kFibers; ++i) {
+      fibers[i] = std::make_unique<Fiber>([&fibers, &trace, &all_current, i]() {
+        for (int k = 0; k < kCycles; ++k) {
+          const uint64_t step = (static_cast<uint64_t>(i) << 32) | static_cast<uint64_t>(k);
+          trace = (trace ^ step) * 0x100000001b3ull;
+          fibers[i]->Yield();
+          all_current = all_current && Fiber::Current() == fibers[i].get();
+        }
+      });
+    }
+    std::vector<int> live(kFibers);
+    std::iota(live.begin(), live.end(), 0);
+    Rng rng(2024);
+    uint64_t resumes = 0;
+    while (!live.empty()) {
+      const size_t pick = rng.NextBelow(live.size());
+      Fiber* f = fibers[live[pick]].get();
+      f->Resume();
+      ++resumes;
+      if (f->finished()) {
+        live[pick] = live.back();
+        live.pop_back();
+      }
+    }
+    EXPECT_TRUE(all_current);
+    EXPECT_EQ(resumes, static_cast<uint64_t>(kFibers) * (kCycles + 1));
+    return trace;
+  };
+  const uint64_t trace = run();
+  EXPECT_EQ(trace, run());
+  // Pinned: the schedule depends only on the seed, never on the switch.
+  EXPECT_EQ(trace, 0x1df05b2040b1bc67ull);
+}
+
+volatile int g_recursion_limit = 1 << 30;
+
+__attribute__((noinline)) int Recurse(int depth) {
+  volatile char pad[512];
+  pad[0] = static_cast<char>(depth);
+  if (depth >= g_recursion_limit) {
+    return pad[0];
+  }
+  return Recurse(depth + 1) + pad[0];
+}
+
+constexpr size_t kOverflowStackSize = 64 * 1024;
+uintptr_t g_overflow_stack_probe = 0;  // a frame address near the stack top
+
+// SIGSEGV handler (run on an alternate stack): exits 42 only when the
+// fault is a protection fault (a mapped page with no access, not an
+// unmapped hole) right below the fiber's stack, i.e. the guard page.
+void ExitOnGuardPageFault(int, siginfo_t* info, void*) {
+  const uintptr_t depth = g_overflow_stack_probe - reinterpret_cast<uintptr_t>(info->si_addr);
+  const bool in_guard = depth > kOverflowStackSize - 4096 && depth <= kOverflowStackSize + 4096;
+  _exit(info->si_code == SEGV_ACCERR && in_guard ? 42 : 1);
+}
+
+TEST(FiberDeathTest, StackOverflowFaultsOnTheGuardPage) {
+  // Runaway recursion must hit the PROT_NONE page below the stack rather
+  // than silently scribbling over whatever the allocator put there.
+  EXPECT_EXIT(
+      {
+        static char alt_stack[64 * 1024];
+        stack_t ss = {};
+        ss.ss_sp = alt_stack;
+        ss.ss_size = sizeof(alt_stack);
+        sigaltstack(&ss, nullptr);
+        struct sigaction sa = {};
+        sa.sa_sigaction = &ExitOnGuardPageFault;
+        sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+        sigaction(SIGSEGV, &sa, nullptr);
+        Fiber f(
+            []() {
+              g_overflow_stack_probe = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+              Recurse(0);
+            },
+            kOverflowStackSize);
+        f.Resume();
+      },
+      ::testing::ExitedWithCode(42), "");
+}
+
 TEST(SimEngine, EventsRunInTimeOrder) {
   SimEngine engine;
   std::vector<int> order;
@@ -64,6 +315,44 @@ TEST(SimEngine, EqualTimestampsRunFifo) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[i], i);
   }
+}
+
+TEST(SimEngine, CallbacksScheduledFromCallbacksReuseSlotsSafely) {
+  // Each callback schedules two more at the same instant plus one later,
+  // so the slot table both grows (reallocating under a running callback)
+  // and recycles freed slots.
+  SimEngine engine;
+  std::vector<int> order;
+  int next_id = 0;
+  std::function<void(int)> spawn = [&](int depth) {
+    const int id = next_id++;
+    engine.ScheduleAfter(depth, [&, id, depth]() {
+      order.push_back(id);
+      if (depth < 6) {
+        spawn(depth + 1);
+        spawn(depth + 1);
+      }
+    });
+  };
+  spawn(0);
+  engine.Run();
+  EXPECT_EQ(order.size(), 127u);  // a full binary tree of depth 6
+  EXPECT_EQ(engine.events_executed(), 127u);
+  for (size_t i = 1; i < order.size(); ++i) {
+    EXPECT_LT(order[i - 1], order[i]);  // FIFO in scheduling order
+  }
+}
+
+TEST(SimEngine, PendingCallbacksAreReleasedWithTheEngine) {
+  auto token = std::make_shared<int>(0);
+  {
+    SimEngine engine;
+    engine.ScheduleAt(10, [token]() {});
+    engine.ScheduleAt(20, [token]() {});
+    engine.Run(15);
+    EXPECT_EQ(token.use_count(), 2);  // the executed one is gone already
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(SimEngine, SleepAdvancesTime) {
