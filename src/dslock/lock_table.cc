@@ -115,10 +115,11 @@ AcquireResult LockTable::WriteLock(const TxInfo& requester, uint64_t addr,
 BatchAcquireResult LockTable::TryAcquireMany(const TxInfo& requester, const uint64_t* addrs,
                                              uint32_t n, uint64_t write_bitmap,
                                              const ContentionManager& cm, bool committing) {
-  TM2C_CHECK_MSG(n <= kMaxBatchEntries, "batch larger than the grant bitmap");
+  TM2C_CHECK_MSG(n <= kMaxBatchEntries || write_bitmap == 0 || write_bitmap == ~uint64_t{0},
+                 "mixed read/write batch larger than the grant bitmap");
   BatchAcquireResult result;
   for (uint32_t i = 0; i < n; ++i) {
-    const bool is_write = (write_bitmap >> i) & 1;
+    const bool is_write = (write_bitmap >> (i % kMaxBatchEntries)) & 1;
     AcquireResult one = is_write ? WriteLock(requester, addrs[i], cm, committing)
                                  : ReadLock(requester, addrs[i], cm);
     for (Victim& victim : one.victims) {
@@ -130,27 +131,8 @@ BatchAcquireResult LockTable::TryAcquireMany(const TxInfo& requester, const uint
       result.refused = one.refused;
       break;
     }
-    result.granted_bitmap |= uint64_t{1} << i;
-    ++result.granted_count;
-  }
-  return result;
-}
-
-SpanAcquireResult LockTable::TryAcquireSpan(const TxInfo& requester, const uint64_t* addrs,
-                                            uint32_t n, bool is_write,
-                                            const ContentionManager& cm, bool committing) {
-  SpanAcquireResult result;
-  for (uint32_t i = 0; i < n; ++i) {
-    AcquireResult one = is_write ? WriteLock(requester, addrs[i], cm, committing)
-                                 : ReadLock(requester, addrs[i], cm);
-    for (Victim& victim : one.victims) {
-      result.victims.push_back(std::move(victim));
-    }
-    if (one.refused != ConflictKind::kNone) {
-      // All-or-prefix, exactly like TryAcquireMany: entries [0, i) stay
-      // acquired and the requester's release (or abort) path covers them.
-      result.refused = one.refused;
-      break;
+    if (i < kMaxBatchEntries) {
+      result.granted_bitmap |= uint64_t{1} << i;
     }
     ++result.granted_count;
   }
@@ -191,30 +173,6 @@ void LockTable::ReleaseWrite(uint32_t core, uint64_t addr) {
   }
   ++stats_.releases;
   EraseIfEmpty(addr, entry);
-}
-
-void LockTable::ReleaseAllOf(uint32_t core) {
-  std::vector<uint64_t> to_erase;
-  for (auto& [addr, entry] : entries_) {
-    if (entry.readers.Contains(core)) {
-      entry.readers.Erase(core);
-      if (entry.writer != core) {
-        entry.holder_info.erase(core);
-      }
-    }
-    if (entry.writer == core) {
-      entry.writer = kNoWriter;
-      entry.writer_epoch = 0;
-      entry.writer_committing = false;
-      entry.holder_info.erase(core);
-    }
-    if (entry.readers.Empty() && entry.writer == kNoWriter) {
-      to_erase.push_back(addr);
-    }
-  }
-  for (uint64_t addr : to_erase) {
-    entries_.erase(addr);
-  }
 }
 
 std::vector<Victim> LockTable::DrainRange(uint64_t base, uint64_t bytes, uint64_t* remaining) {

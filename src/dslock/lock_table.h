@@ -56,15 +56,6 @@ struct BatchAcquireResult {
   std::vector<Victim> victims;                 // across the whole prefix
 };
 
-// Outcome of a homogeneous span acquisition (TryAcquireSpan). Same
-// all-or-prefix contract as BatchAcquireResult, but with no grant bitmap —
-// the caller knows the span order — and therefore no kMaxBatchEntries cap.
-struct SpanAcquireResult {
-  uint32_t granted_count = 0;                  // prefix length
-  ConflictKind refused = ConflictKind::kNone;  // why the prefix stopped
-  std::vector<Victim> victims;                 // across the whole prefix
-};
-
 // Counters for the service-side statistics the benches report.
 struct LockTableStats {
   uint64_t read_acquires = 0;
@@ -94,36 +85,25 @@ class LockTable {
   AcquireResult WriteLock(const TxInfo& requester, uint64_t addr, const ContentionManager& cm,
                           bool committing = false);
 
-  // Vectorized acquisition for the kBatchAcquire protocol: one pass over
-  // `addrs` (bit i of `write_bitmap` selects write vs read lock for entry
-  // i), stopping at the first refusal (all-or-prefix). The requester's
-  // metric has already been decoded once for the whole batch; the CM is
-  // consulted only for the entries that actually conflict. Duplicate
-  // addresses are legal (the second acquisition is a same-core
-  // re-acquisition and always succeeds). `n` must be <= kMaxBatchEntries;
-  // an empty batch is trivially fully granted.
+  // Prefix acquisition, the one loop behind every lock request (the
+  // service's DtmService::Admit): one pass over `addrs` (bit i of
+  // `write_bitmap` selects write vs read lock for entry i), stopping at the
+  // first refusal (all-or-prefix). The requester's metric has already been
+  // decoded once for the whole request; the CM is consulted only for the
+  // entries that actually conflict. Duplicate addresses are legal (the
+  // second acquisition is a same-core re-acquisition and always succeeds).
+  // A mixed bitmap caps `n` at kMaxBatchEntries; a homogeneous one (all
+  // zeros or all ones) covers any `n` — the owner-local span has no wire
+  // bitmap to fit — and `granted_bitmap` then saturates at 64 bits. An
+  // empty request is trivially fully granted.
   BatchAcquireResult TryAcquireMany(const TxInfo& requester, const uint64_t* addrs, uint32_t n,
                                     uint64_t write_bitmap, const ContentionManager& cm,
                                     bool committing = false);
-
-  // Homogeneous prefix acquisition for the owner-local direct path: one
-  // pass over `addrs`, all read locks or all write locks, stopping at the
-  // first refusal. Unlike TryAcquireMany there is no grant bitmap on the
-  // wire, so the span is not capped at kMaxBatchEntries — a local caller
-  // takes a whole node group in one table pass.
-  SpanAcquireResult TryAcquireSpan(const TxInfo& requester, const uint64_t* addrs, uint32_t n,
-                                   bool is_write, const ContentionManager& cm,
-                                   bool committing = false);
 
   // Releases. Idempotent; wrong-owner write releases are ignored (see the
   // correctness note above).
   void ReleaseRead(uint32_t core, uint64_t addr);
   void ReleaseWrite(uint32_t core, uint64_t addr);
-
-  // Removes every lock `core` holds under `epoch` (or any epoch), used when
-  // the service core learns the owner aborted. Linear in table size; only
-  // used by tests and recovery paths, not the hot protocol.
-  void ReleaseAllOf(uint32_t core);
 
   // Migration drain pass over [base, base + bytes): revokes every revocable
   // holder (readers, and writers not in their commit phase) and reports
@@ -132,7 +112,7 @@ class LockTable {
   // persisted write set; the drain instead waits for its release. Returns
   // the victims; `remaining` (if non-null) receives the number of entries
   // still held in the range after the pass (0 == drained). Linear in table
-  // size, like ReleaseAllOf: migration is a rare, cold operation.
+  // size: migration is a rare, cold operation.
   std::vector<Victim> DrainRange(uint64_t base, uint64_t bytes, uint64_t* remaining);
 
   // Entries currently held in [base, base + bytes) — the drain's progress

@@ -2,7 +2,7 @@
 //
 // The SCC exchanges small MPB-resident messages; TM2C's protocol needs only
 // a type tag, the sender, a few word-sized arguments, and (for multi-address
-// batching and bulk releases) a variable-length list of addresses. The same
+// acquisitions and bulk releases) a variable-length list of addresses. The same
 // struct is used by the simulator backend and the std::thread backend.
 #ifndef TM2C_SRC_RUNTIME_MESSAGE_H_
 #define TM2C_SRC_RUNTIME_MESSAGE_H_
@@ -17,19 +17,13 @@ enum class MsgType : uint8_t {
   kInvalid = 0,
 
   // DTM service requests (app core -> service core).
-  kReadLockReq,        // w0=addr, w1=tx epoch, w2=priority metric
-  kWriteLockReq,       // as kReadLockReq; w3=1 marks a commit-phase acquisition
-  kBatchAcquire,       // multi-address acquisition, see "Batch protocol" below
-  kReadRelease,        // w0=addr, w1=tx epoch (no response)
-  kWriteRelease,       // w0=addr, w1=tx epoch, w2=new value? (persist handled by app)
+  kBatchAcquire,       // every lock acquisition, see "Acquire protocol" below
   kReleaseAllReads,    // w1=tx epoch, extra=addresses (no response)
   kReleaseAllWrites,   // w1=tx epoch, extra=addresses (no response)
   kEarlyReadRelease,   // elastic-early: w0=addr, w1=tx epoch (no response)
 
   // DTM service responses (service core -> app core).
-  kLockGranted,   // w0=addr (or batch id)
-  kLockConflict,  // w0=addr, w1=conflict kind (RAW/WAW/WAR)
-  kBatchReply,    // response to kBatchAcquire, see "Batch protocol" below
+  kBatchReply,  // response to kBatchAcquire, see "Acquire protocol" below
 
   // Asynchronous abort notification (service core -> app core): the CM
   // revoked this transaction's locks in favour of a higher-priority one.
@@ -79,22 +73,25 @@ enum class MsgType : uint8_t {
                         // DtmServiceStats fields...] (see process_system.cc)
 };
 
-// Batch protocol (one request/response round trip per responsible node):
+// Acquire protocol (one request/response round trip per request; a
+// Read() is a one-entry request, a per-node group a multi-entry one):
 //
 //   kBatchAcquire   w0 = flags in the low kBatchReqIdShift bits
-//                   (kBatchFlagCommit marks commit-phase write acquisitions)
-//                   with the requester's request id in the bits above, w1 =
-//                   tx epoch, w2 = priority metric (decoded by the CM once
-//                   for the whole batch), w3 = write bitmap (bit i set:
-//                   entry i wants the write lock, clear: the read lock),
-//                   extra = stripe addresses, at most kMaxBatchEntries of
-//                   them.
+//                   (kBatchFlagWrite: every entry wants the write lock,
+//                   clear: the read lock; kBatchFlagCommit: commit-phase
+//                   write acquisition) with the requester's request id in
+//                   the bits above, w1 = tx epoch, w2 = priority metric
+//                   (decoded by the CM once for the whole request). The
+//                   entries: extra = stripe addresses (at most
+//                   kMaxBatchEntries), or — when extra is empty — the one
+//                   stripe address in w3. The one-entry form keeps a lone
+//                   acquisition at 5 words on the wire.
 //   kBatchReply     w0 = grant bitmap (bit i set: entry i acquired), w1 =
 //                   tx epoch, w2 = ConflictKind the first refused entry lost
 //                   on (kNone when fully granted), w3 = granted count in the
 //                   low kBatchReqIdShift bits, request id echoed above.
 //
-// The request id lets a runtime keep several batches in flight at once
+// The request id lets a runtime keep several requests in flight at once
 // (TmConfig::pipeline_depth > 1) and match interleaved replies to their
 // requests; the service is stateless about it — it only echoes the id. It
 // rides in previously-zero bits of existing words (the granted count is at
@@ -103,11 +100,12 @@ enum class MsgType : uint8_t {
 // lockstep protocol.
 //
 // Grants are all-or-prefix: the service stops at the first refused entry,
-// so the grant bitmap is always a prefix mask of the batch. The requester
+// so the grant bitmap is always a prefix mask of the request. The requester
 // keeps the granted prefix (its release path covers it); there is no
 // service-side rollback.
 constexpr uint32_t kMaxBatchEntries = 64;  // bitmap width
 constexpr uint64_t kBatchFlagCommit = 1;
+constexpr uint64_t kBatchFlagWrite = 2;
 constexpr uint32_t kBatchReqIdShift = 8;  // flags/count below, request id above
 constexpr uint64_t kBatchReqIdMask = (uint64_t{1} << kBatchReqIdShift) - 1;
 

@@ -14,6 +14,7 @@
 #include <cstring>
 
 #include "src/common/check.h"
+#include "src/shmem/abort_status.h"
 
 namespace tm2c {
 namespace {
@@ -65,8 +66,6 @@ void WriteFrame(int fd, uint32_t dst, const Message& msg) {
 // True for request types the server answers with exactly one reply frame.
 bool ExpectsReply(MsgType type) {
   switch (type) {
-    case MsgType::kReadLockReq:
-    case MsgType::kWriteLockReq:
     case MsgType::kBatchAcquire:
     case MsgType::kCommitLog:
     case MsgType::kEcho:
@@ -80,11 +79,7 @@ bool ExpectsReply(MsgType type) {
 // bookkeeping feeding the death fence.
 bool CarriesEpoch(MsgType type) {
   switch (type) {
-    case MsgType::kReadLockReq:
-    case MsgType::kWriteLockReq:
     case MsgType::kBatchAcquire:
-    case MsgType::kReadRelease:
-    case MsgType::kWriteRelease:
     case MsgType::kReleaseAllReads:
     case MsgType::kReleaseAllWrites:
     case MsgType::kEarlyReadRelease:
@@ -622,46 +617,27 @@ void ProcessSystem::DrainFrames(uint32_t partition, WireDecoder* decoder) {
 }
 
 void ProcessSystem::RetireOutstanding(Connection* c, uint32_t dst, const Message& msg) {
-  switch (msg.type) {
-    case MsgType::kLockGranted:
-    case MsgType::kLockConflict:
-    case MsgType::kBatchReply:
-    case MsgType::kCommitLogAck:
-    case MsgType::kEchoRsp:
-      break;
-    case MsgType::kAbortNotify:
-    case MsgType::kOwnershipUpdate:
-      return;  // unsolicited notifications answer nothing
-    default:
-      TM2C_FATAL("unexpected message type from a partition server");
+  if (msg.type == MsgType::kAbortNotify || msg.type == MsgType::kOwnershipUpdate) {
+    return;  // unsolicited notifications answer nothing
   }
+  // Each reply names its request: an acquisition by its request id, a
+  // commit record by its epoch, an echo by its payload.
+  auto answers = [&msg](const Message& req) {
+    switch (msg.type) {
+      case MsgType::kBatchReply:
+        return req.type == MsgType::kBatchAcquire &&
+               (req.w0 >> kBatchReqIdShift) == (msg.w3 >> kBatchReqIdShift);
+      case MsgType::kCommitLogAck:
+        return req.type == MsgType::kCommitLog && req.w1 == msg.w1;
+      case MsgType::kEchoRsp:
+        return req.type == MsgType::kEcho && req.w0 == msg.w0;
+      default:
+        TM2C_FATAL("unexpected message type from a partition server");
+    }
+  };
   std::lock_guard<std::mutex> lock(c->mu);
   for (auto it = c->outstanding.begin(); it != c->outstanding.end(); ++it) {
-    if (it->src != dst) {
-      continue;
-    }
-    const Message& req = it->request;
-    bool match = false;
-    switch (msg.type) {
-      case MsgType::kLockGranted:
-      case MsgType::kLockConflict:
-        match = (req.type == MsgType::kReadLockReq || req.type == MsgType::kWriteLockReq) &&
-                req.w0 == msg.w0;
-        break;
-      case MsgType::kBatchReply:
-        match = req.type == MsgType::kBatchAcquire &&
-                (req.w0 >> kBatchReqIdShift) == (msg.w3 >> kBatchReqIdShift);
-        break;
-      case MsgType::kCommitLogAck:
-        match = req.type == MsgType::kCommitLog && req.w1 == msg.w1;
-        break;
-      case MsgType::kEchoRsp:
-        match = req.type == MsgType::kEcho && req.w0 == msg.w0;
-        break;
-      default:
-        break;
-    }
-    if (match) {
+    if (it->src == dst && answers(it->request)) {
       c->outstanding.erase(it);
       return;
     }
@@ -673,13 +649,6 @@ Message ProcessSystem::SynthesizeRefusal(uint32_t service_core, const Message& r
   Message rsp;
   rsp.src = service_core;
   switch (req.type) {
-    case MsgType::kReadLockReq:
-    case MsgType::kWriteLockReq:
-      rsp.type = MsgType::kLockConflict;
-      rsp.w0 = req.w0;
-      rsp.w1 = req.w1;
-      rsp.w2 = static_cast<uint64_t>(ConflictKind::kOverload);
-      break;
     case MsgType::kBatchAcquire:
       rsp.type = MsgType::kBatchReply;
       rsp.w0 = 0;  // nothing granted
@@ -726,14 +695,15 @@ void ProcessSystem::RestartPartition(uint32_t partition) {
   // Death fence: every lock the dead server had granted is implicitly
   // revoked, so publish a revocation to every core that ever quoted an
   // epoch here — abort-status word first (catches transactions up to their
-  // commit point, like a contention-manager revocation), kAbortNotify
-  // second (wakes the ones parked in Recv). Stale epochs are harmless: the
+  // commit point, like a contention-manager revocation, and waits out a
+  // persist already under way), kAbortNotify second (wakes the ones parked
+  // in Recv). Stale epochs are harmless: the
   // status check compares for equality with the current attempt. Committers
   // already past their commit point ignore both; their retransmitted
   // kCommitLog completes the commit against the successor.
   for (const auto& [core, epoch] : c.last_epoch) {
     if (abort_status_base_ != ~uint64_t{0}) {
-      shmem_->StoreWord(abort_status_base_ + core * kWordBytes, epoch);
+      PublishRevocation(*shmem_, abort_status_base_ + core * kWordBytes, epoch);
     }
     Message fence;
     fence.type = MsgType::kAbortNotify;

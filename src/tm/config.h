@@ -122,10 +122,9 @@ struct TmConfig {
   // Maximum number of lock acquisitions travelling in one kBatchAcquire
   // message. The runtime groups pending read/write-set acquisitions by
   // responsible node and flushes each group in chunks of at most this many
-  // addresses. 1 (the default) disables the batch protocol entirely: every
-  // acquisition is its own kReadLockReq/kWriteLockReq round trip, the
-  // pre-batching wire behaviour. Capped at kMaxBatchEntries (the grant
-  // bitmap width).
+  // addresses. 1 (the default) disables batching entirely: every
+  // acquisition is its own one-entry round trip, the pre-batching wire
+  // behaviour. Capped at kMaxBatchEntries (the grant bitmap width).
   uint32_t max_batch = 1;
 
   // Maximum number of kBatchAcquire requests a runtime keeps in flight at
@@ -134,8 +133,8 @@ struct TmConfig {
   // wire behaviour. Larger depths let ReadMany / commit-time acquisition
   // overlap the per-node round trips (and enable Tx::Prefetch), hiding the
   // message latency that bounds throughput once batching has amortized the
-  // per-message cost. Only batched acquisitions pipeline; the scalar
-  // kReadLockReq/kWriteLockReq path stays synchronous.
+  // per-message cost. Only batched acquisitions pipeline; a lone Read()
+  // and every request at max_batch == 1 wait for their own reply.
   uint32_t pipeline_depth = 1;
 
   // Owner-local fast path: when the caller's own core is the responsible

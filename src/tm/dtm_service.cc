@@ -3,6 +3,7 @@
 #include "src/common/check.h"
 #include "src/common/log.h"
 #include "src/durability/partition_log.h"
+#include "src/shmem/abort_status.h"
 
 namespace tm2c {
 
@@ -61,16 +62,9 @@ bool DtmService::HandleMessage(const Message& msg) {
       env_.Send(msg.src, std::move(rsp));
       return true;
     }
-    case MsgType::kReadLockReq:
-    case MsgType::kWriteLockReq:
-    case MsgType::kBatchAcquire: {
-      Message rsp = Process(msg);
-      TM2C_DCHECK(rsp.type != MsgType::kInvalid);
-      env_.Send(msg.src, std::move(rsp));
+    case MsgType::kBatchAcquire:
+      env_.Send(msg.src, ServeAcquire(msg));
       return true;
-    }
-    case MsgType::kReadRelease:
-    case MsgType::kWriteRelease:
     case MsgType::kReleaseAllReads:
     case MsgType::kReleaseAllWrites:
     case MsgType::kEarlyReadRelease:
@@ -92,40 +86,12 @@ bool DtmService::HandleMessage(const Message& msg) {
 }
 
 Message DtmService::HandleLocal(const Message& request) {
-  return Process(request);
-}
-
-Message DtmService::Process(const Message& msg) {
-  switch (msg.type) {
-    case MsgType::kReadLockReq:
-      return HandleAcquire(msg, /*is_write=*/false);
-    case MsgType::kWriteLockReq:
-      return HandleAcquire(msg, /*is_write=*/true);
-    case MsgType::kBatchAcquire:
-      return HandleBatchAcquire(msg);
-    case MsgType::kReadRelease:
-    case MsgType::kWriteRelease:
-    case MsgType::kReleaseAllReads:
-    case MsgType::kReleaseAllWrites:
-    case MsgType::kEarlyReadRelease:
-      HandleRelease(msg);
-      return Message{};
-    case MsgType::kMigrateRange:
-      // Fire-and-forget under the multitasked deployment: the requesting
-      // core is also the owning service core.
-      BeginMigration(msg.w0, msg.w1, static_cast<uint32_t>(msg.w2));
-      return Message{};
-    default:
-      TM2C_FATAL("unexpected message type in DtmService::Process");
+  if (request.type == MsgType::kBatchAcquire) {
+    return ServeAcquire(request);
   }
-}
-
-TxInfo DtmService::DecodeRequester(const Message& msg) const {
-  TxInfo info;
-  info.core = msg.src;
-  info.epoch = msg.w1;
-  info.metric = cm_->MetricFromWire(msg.w2, env_.LocalNow());
-  return info;
+  // Releases and migration requests: fire-and-forget, no response.
+  TM2C_CHECK_MSG(HandleMessage(request), "unexpected message type in DtmService::HandleLocal");
+  return Message{};
 }
 
 void DtmService::ChargeProcessing(uint64_t items) {
@@ -154,12 +120,16 @@ void DtmService::NotifyVictims(const std::vector<Victim>& victims) {
     ++stats_.notifications_sent;
     // Publish the abort to the victim's shared status word (the paper's
     // "status atomically switched from pending to aborted"): the victim
-    // reads it atomically with its persist, which closes the race between
-    // this revocation and the victim's commit point. The message below
+    // checks it atomically with its persist, which closes the race between
+    // this revocation and the victim's commit point — a persist already
+    // under way is waited out, so the grant this revocation pays for can
+    // never expose the victim's old values (src/shmem/abort_status.h). The
+    // timed read pays the modelled write latency. The message below
     // remains the prompt wake-up path.
     if (config_.abort_status_base != TmConfig::kNoAbortStatus) {
-      env_.ShmemWrite(config_.abort_status_base + victim.info.core * kWordBytes,
-                      victim.info.epoch);
+      const uint64_t status_addr = config_.abort_status_base + victim.info.core * kWordBytes;
+      (void)env_.ShmemRead(status_addr);
+      PublishRevocation(env_.shmem(), status_addr, victim.info.epoch);
     }
     if (victim.info.core == env_.core_id()) {
       // Multitasked deployment: the victim runs on this very core.
@@ -176,202 +146,111 @@ void DtmService::NotifyVictims(const std::vector<Victim>& victims) {
   }
 }
 
-Message DtmService::HandleAcquire(const Message& msg, bool is_write) {
-  ++stats_.requests;
-  ChargeProcessing(1);
-
-  Message rsp;
-  rsp.w0 = msg.w0;
-  rsp.w1 = msg.w1;
-
-  // A request from an attempt this node already revoked is refused outright;
-  // the refusal races with (and is equivalent to) the in-flight abort
-  // notification.
-  RemoteCoreState& state = remote_state_[msg.src];
-  if (state.aborted_epoch == msg.w1) {
-    ++stats_.stale_requests_refused;
-    rsp.type = MsgType::kLockConflict;
-    rsp.w2 = static_cast<uint64_t>(state.aborted_kind);
-    return rsp;
+Message DtmService::ServeAcquire(const Message& msg) {
+  // A one-entry request carries its stripe in w3 (five words on the wire);
+  // a multi-entry one carries the list.
+  const bool listed = !msg.extra.empty();
+  AdmitRequest request;
+  request.core = msg.src;
+  request.epoch = msg.w1;
+  request.metric_wire = msg.w2;
+  request.addrs = listed ? msg.extra.data() : &msg.w3;
+  request.n = listed ? static_cast<uint32_t>(msg.extra.size()) : 1;
+  request.is_write = (msg.w0 & kBatchFlagWrite) != 0;
+  request.committing = (msg.w0 & kBatchFlagCommit) != 0;
+  TM2C_CHECK_MSG(request.n <= kMaxBatchEntries, "oversized batch request");
+  if (listed) {
+    ++stats_.batch_requests;
+    stats_.batch_entries += request.n;
   }
-
-  const bool committing = is_write && msg.w3 != 0;
-  if (Overloaded(committing)) {
-    ++stats_.overload_refused;
-    rsp.type = MsgType::kLockConflict;
-    rsp.w2 = static_cast<uint64_t>(ConflictKind::kOverload);
-    return rsp;
-  }
-
-  NoteAcquiresForPolicy(&msg.w0, 1);
-
-  // A stale request routed before a directory flip can still land here;
-  // granting a stripe this node no longer owns would split its lock state
-  // across two tables. kMigrating tells the requester to re-route.
-  if (map_ != nullptr && map_->ResponsibleCore(msg.w0) != env_.core_id()) {
-    ++stats_.misrouted_refused;
-    rsp.type = MsgType::kLockConflict;
-    rsp.w2 = static_cast<uint64_t>(ConflictKind::kMigrating);
-    return rsp;
-  }
-  if (config_.fault != FaultMode::kGrantDuringMigration && MigratingStripe(msg.w0)) {
-    ++stats_.migrating_refused;
-    rsp.type = MsgType::kLockConflict;
-    rsp.w2 = static_cast<uint64_t>(ConflictKind::kMigrating);
-    return rsp;
-  }
-
-  const TxInfo requester = DecodeRequester(msg);
-  const AcquireResult result =
-      is_write ? table_.WriteLock(requester, msg.w0, *cm_, /*committing=*/msg.w3 != 0)
-               : table_.ReadLock(requester, msg.w0, *cm_);
-  NotifyVictims(result.victims);
-  if (result.refused != ConflictKind::kNone) {
-    rsp.type = MsgType::kLockConflict;
-    rsp.w2 = static_cast<uint64_t>(result.refused);
-  } else {
-    rsp.type = MsgType::kLockGranted;
-    if (trace_ != nullptr) {
-      TraceGrants(msg.src, &msg.w0, 1);
-    }
-  }
-  return rsp;
-}
-
-Message DtmService::HandleBatchAcquire(const Message& msg) {
-  ++stats_.requests;
-  ++stats_.batch_requests;
-  stats_.batch_entries += msg.extra.size();
-  ChargeProcessing(msg.extra.size());
-  TM2C_CHECK_MSG(msg.extra.size() <= kMaxBatchEntries, "oversized batch request");
+  const AdmitResult result = Admit(request);
 
   // The request id in the bits above the flags is opaque to the service:
   // it is echoed in the reply so a pipelining requester can match
   // interleaved replies to their requests.
-  const uint64_t request_id = msg.w0 >> kBatchReqIdShift;
-
   Message rsp;
   rsp.type = MsgType::kBatchReply;
+  rsp.w0 = PrefixBitmap(result.granted);
   rsp.w1 = msg.w1;
-  rsp.w3 = request_id << kBatchReqIdShift;
-
-  // A batch from an attempt this node already revoked is refused whole (no
-  // entry granted), exactly like the scalar path.
-  RemoteCoreState& state = remote_state_[msg.src];
-  if (state.aborted_epoch == msg.w1) {
-    ++stats_.stale_requests_refused;
-    rsp.w2 = static_cast<uint64_t>(state.aborted_kind);
-    return rsp;
-  }
-
-  const bool committing = (msg.w0 & kBatchReqIdMask & kBatchFlagCommit) != 0;
-  if (Overloaded(committing)) {
-    ++stats_.overload_refused;
-    rsp.w2 = static_cast<uint64_t>(ConflictKind::kOverload);
-    return rsp;  // refused whole: no entry granted
-  }
-
-  // Decode the requester's CM metric once for the whole batch — with the
-  // scalar protocol this (and the message round trip around it) happened
-  // once per address.
-  const TxInfo requester = DecodeRequester(msg);
-  const uint32_t n = static_cast<uint32_t>(msg.extra.size());
-
-  NoteAcquiresForPolicy(msg.extra.data(), n);
-
-  // Misrouted entries terminate the grant prefix: granting a stripe this
-  // node does not own would split its lock state across two tables. Only
-  // the correctly-routed leading run is attempted. Entries inside an open
-  // drain window cut the prefix the same way. Both cuts are retryable and
-  // carry kMigrating: a misroute here means the requester routed before a
-  // directory flip and will re-route on retry.
-  uint32_t routed = n;
-  ConflictKind route_refusal = ConflictKind::kNone;
-  if (map_ != nullptr) {
-    for (uint32_t i = 0; i < n; ++i) {
-      if (map_->ResponsibleCore(msg.extra[i]) != env_.core_id()) {
-        routed = i;
-        route_refusal = ConflictKind::kMigrating;
-        ++stats_.misrouted_refused;
-        break;
-      }
-      if (config_.fault != FaultMode::kGrantDuringMigration && MigratingStripe(msg.extra[i])) {
-        routed = i;
-        route_refusal = ConflictKind::kMigrating;
-        ++stats_.migrating_refused;
-        break;
-      }
-    }
-  }
-
-  const BatchAcquireResult result = table_.TryAcquireMany(
-      requester, msg.extra.data(), routed, msg.w3, *cm_, committing);
-  NotifyVictims(result.victims);
-  rsp.w0 = result.granted_bitmap;
-  rsp.w3 |= result.granted_count;  // fits below kBatchReqIdShift (n <= 64)
-  if (trace_ != nullptr && result.granted_count > 0) {
-    TraceGrants(msg.src, msg.extra.data(), result.granted_count);
-  }
-  if (result.granted_count < n) {
-    // CM refusals carry their kind; a prefix cut by routing or an open
-    // drain window carries kMigrating.
-    rsp.w2 = static_cast<uint64_t>(
-        result.refused != ConflictKind::kNone ? result.refused : route_refusal);
-  }
+  rsp.w2 = static_cast<uint64_t>(result.refused);
+  rsp.w3 = (msg.w0 >> kBatchReqIdShift << kBatchReqIdShift) | result.granted;
   return rsp;
 }
 
-uint32_t DtmService::AcquireSpanDirect(uint64_t epoch, uint64_t metric_wire,
-                                       const uint64_t* addrs, uint32_t n, bool is_write,
-                                       bool committing, ConflictKind* refused) {
+DtmService::AdmitResult DtmService::Admit(const AdmitRequest& request) {
   ++stats_.requests;
-  ++stats_.local_direct_requests;
-  stats_.local_direct_entries += n;
-  ChargeProcessing(n);
-  *refused = ConflictKind::kNone;
+  if (request.direct) {
+    ++stats_.local_direct_requests;
+    stats_.local_direct_entries += request.n;
+  }
+  ChargeProcessing(request.n);
+  AdmitResult result;
 
-  // Whole-span stale-epoch refusal: a revocation of this very attempt may
-  // have been decided by an earlier request this core served (multitasked
-  // deployment), so the check is as necessary here as on the wire path.
-  RemoteCoreState& state = remote_state_[env_.core_id()];
-  if (state.aborted_epoch == epoch) {
+  // A request from an attempt this node already revoked is refused whole
+  // (no entry granted); the refusal races with (and is equivalent to) the
+  // in-flight abort notification. Under the multitasked deployment the
+  // revocation may have been decided by a request this very core served,
+  // so the check is as necessary on the direct path as on the wire.
+  RemoteCoreState& state = remote_state_[request.core];
+  if (state.aborted_epoch == request.epoch) {
     ++stats_.stale_requests_refused;
-    *refused = state.aborted_kind;
-    return 0;
+    result.refused = state.aborted_kind;
+    return result;
   }
 
-  NoteAcquiresForPolicy(addrs, n);
+  // Admission control sheds non-committing requests while the inbox is
+  // above the high-water mark. Direct calls never queued, so there is no
+  // backlog for them to add to.
+  if (!request.direct && !request.committing && config_.overload_high_water > 0 &&
+      env_.InboxDepth() > config_.overload_high_water) {
+    ++stats_.overload_refused;
+    result.refused = ConflictKind::kOverload;
+    return result;
+  }
 
-  // An open drain window cuts the span exactly like the wire path: grants
-  // stop at the first draining stripe (skipped under the planted fault).
-  // No admission control here — the fast path never queues, so there is no
-  // inbox backlog for it to shed.
-  uint32_t usable = n;
-  if (config_.fault != FaultMode::kGrantDuringMigration && !migrating_out_.empty()) {
-    for (uint32_t i = 0; i < n; ++i) {
-      if (MigratingStripe(addrs[i])) {
-        usable = i;
-        ++stats_.migrating_refused;
-        break;
-      }
+  NoteAcquiresForPolicy(request.addrs, request.n);
+
+  // Misrouted entries terminate the grant prefix: granting a stripe this
+  // node does not own would split its lock state across two tables (a
+  // request routed before a directory flip can still land here). Entries
+  // inside an open drain window cut the prefix the same way (skipped under
+  // the planted fault). Both cuts are retryable and carry kMigrating: the
+  // requester re-routes on retry.
+  uint32_t routed = request.n;
+  for (uint32_t i = 0; i < request.n; ++i) {
+    const uint64_t stripe = request.addrs[i];
+    if (map_ != nullptr && map_->ResponsibleCore(stripe) != env_.core_id()) {
+      routed = i;
+      ++stats_.misrouted_refused;
+      break;
+    }
+    if (config_.fault != FaultMode::kGrantDuringMigration && MigratingStripe(stripe)) {
+      routed = i;
+      ++stats_.migrating_refused;
+      break;
     }
   }
 
+  // The requester's CM metric is decoded once for the whole request.
   TxInfo requester;
-  requester.core = env_.core_id();
-  requester.epoch = epoch;
-  requester.metric = cm_->MetricFromWire(metric_wire, env_.LocalNow());
-  const SpanAcquireResult result = table_.TryAcquireSpan(requester, addrs, usable, is_write, *cm_,
-                                                         committing);
-  NotifyVictims(result.victims);
-  if (trace_ != nullptr && result.granted_count > 0) {
-    TraceGrants(env_.core_id(), addrs, result.granted_count);
+  requester.core = request.core;
+  requester.epoch = request.epoch;
+  requester.metric = cm_->MetricFromWire(request.metric_wire, env_.LocalNow());
+  const uint64_t writes = request.is_write ? ~uint64_t{0} : 0;
+  const BatchAcquireResult acquired = table_.TryAcquireMany(
+      requester, request.addrs, routed, writes, *cm_, request.committing);
+  NotifyVictims(acquired.victims);
+  if (trace_ != nullptr && acquired.granted_count > 0) {
+    TraceGrants(request.core, request.addrs, acquired.granted_count);
   }
-  *refused = result.refused;
-  if (usable < n && result.granted_count == usable && result.refused == ConflictKind::kNone) {
-    *refused = ConflictKind::kMigrating;
+  result.granted = acquired.granted_count;
+  if (result.granted < request.n) {
+    // CM refusals carry their kind; a prefix cut by routing or an open
+    // drain window carries kMigrating.
+    result.refused =
+        acquired.refused != ConflictKind::kNone ? acquired.refused : ConflictKind::kMigrating;
   }
-  return result.granted_count;
+  return result;
 }
 
 void DtmService::HandleCommitLog(const Message& msg) {
@@ -454,14 +333,9 @@ void DtmService::FlushCommitLog() {
 void DtmService::HandleRelease(const Message& msg) {
   ++stats_.releases;
   switch (msg.type) {
-    case MsgType::kReadRelease:
     case MsgType::kEarlyReadRelease:
       ChargeProcessing(1);
       table_.ReleaseRead(msg.src, msg.w0);
-      break;
-    case MsgType::kWriteRelease:
-      ChargeProcessing(1);
-      table_.ReleaseWrite(msg.src, msg.w0);
       break;
     case MsgType::kReleaseAllReads:
       ChargeProcessing(msg.extra.size());
@@ -494,11 +368,6 @@ void DtmService::QuiesceFlush() {
   // the horizon, and a post-run ack would fabricate an event the crash
   // oracle would then have to explain.
   pending_acks_.clear();
-}
-
-bool DtmService::Overloaded(bool committing) const {
-  return !committing && config_.overload_high_water > 0 &&
-         env_.InboxDepth() > config_.overload_high_water;
 }
 
 bool DtmService::MigratingStripe(uint64_t stripe) const {

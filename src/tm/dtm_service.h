@@ -1,10 +1,14 @@
 // The DTM service: one instance per service core (Figure 1).
 //
 // Wraps a LockTable partition and a contention manager behind the wire
-// protocol. The dedicated deployment runs RunLoop() as the core's main; the
-// multitasked deployment calls HandleMessage() from the application task's
-// wait loops, and HandleLocal() for requests whose responsible node is the
-// requesting core itself.
+// protocol. Every lock request, whatever its transport, goes through one
+// admission pipeline, Admit(): a kBatchAcquire from the inbox (one entry or
+// many), a self-addressed one handed over by HandleLocal(), and the
+// owner-local fast path's direct span call. The dedicated deployment runs
+// RunLoop() as the core's main; the multitasked deployment calls
+// HandleMessage() from the application task's wait loops, and
+// HandleLocal() for requests whose responsible node is the requesting core
+// itself.
 #ifndef TM2C_SRC_TM_DTM_SERVICE_H_
 #define TM2C_SRC_TM_DTM_SERVICE_H_
 
@@ -31,10 +35,10 @@ struct DtmServiceStats {
   uint64_t releases = 0;
   uint64_t notifications_sent = 0;
   uint64_t stale_requests_refused = 0;
-  uint64_t batch_requests = 0;       // kBatchAcquire messages served
-  uint64_t batch_entries = 0;        // addresses across those batches
+  uint64_t batch_requests = 0;       // multi-entry (address-list) kBatchAcquires
+  uint64_t batch_entries = 0;        // addresses across those requests
   uint64_t misrouted_refused = 0;    // batch entries outside this partition
-  uint64_t local_direct_requests = 0;  // owner-local fast-path span calls
+  uint64_t local_direct_requests = 0;  // owner-local fast-path Admit calls
   uint64_t local_direct_entries = 0;   // stripes across those spans
   uint64_t commit_records = 0;         // kCommitLog records appended
   uint64_t log_flushes = 0;            // group-commit flushes performed
@@ -66,18 +70,36 @@ class DtmService {
   // sent; the response is returned directly.
   Message HandleLocal(const Message& request);
 
-  // Owner-local fast path: the requesting runtime runs on this very core
-  // and skips the message layer entirely — no Message is built and no
-  // coroutine-switch cost is charged; only the service processing cost is.
-  // Semantics match a kBatchAcquire from this core: whole-span stale-epoch
-  // refusal, all-or-prefix grants, victims notified through the normal
-  // paths (including the local abort sink). The caller guarantees every
-  // stripe belongs to this partition (it grouped them with the same
-  // AddressMap the service validates against). Returns the granted prefix
-  // length; `*refused` carries the first refusal's kind (kNone when fully
-  // granted).
-  uint32_t AcquireSpanDirect(uint64_t epoch, uint64_t metric_wire, const uint64_t* addrs,
-                             uint32_t n, bool is_write, bool committing, ConflictKind* refused);
+  // One lock request, as every transport hands it to Admit().
+  struct AdmitRequest {
+    uint32_t core = 0;  // requester
+    uint64_t epoch = 0;
+    uint64_t metric_wire = 0;  // CM metric as sent; decoded by the service
+    const uint64_t* addrs = nullptr;
+    uint32_t n = 0;
+    bool is_write = false;
+    bool committing = false;  // commit-phase write acquisition
+    // Owner-local fast path: the requesting runtime runs on this very core
+    // and called in directly — no Message was built and no coroutine
+    // switch is charged. Such a request never queued in the inbox, so
+    // admission control does not apply to it.
+    bool direct = false;
+  };
+  struct AdmitResult {
+    uint32_t granted = 0;                        // length of the granted prefix
+    ConflictKind refused = ConflictKind::kNone;  // why it stopped; kNone == all granted
+  };
+
+  // The admission pipeline. Charges the processing cost once for all `n`
+  // entries, then refuses, in this order: a request from an attempt this
+  // node already revoked (whole), a non-committing request above the inbox
+  // high-water mark (whole; inbox transports only), and per entry a
+  // stripe this node does not own or one inside an open drain window (the
+  // prefix stops there, kMigrating). The routed prefix then takes one
+  // all-or-prefix lock-table pass; victims are notified through the normal
+  // paths (including the local abort sink). Direct spans may exceed
+  // kMaxBatchEntries: they carry no grant bitmap.
+  AdmitResult Admit(const AdmitRequest& request);
 
   // Multitasked deployment: a victim of a revocation can be a transaction
   // running on this very core; the sink delivers the abort locally instead
@@ -142,17 +164,12 @@ class DtmService {
     ConflictKind aborted_kind = ConflictKind::kNone;
   };
 
-  // Dispatches a request and produces the response (no response for
-  // release-type messages: Message.type stays kInvalid).
-  Message Process(const Message& msg);
-
-  Message HandleAcquire(const Message& msg, bool is_write);
-  Message HandleBatchAcquire(const Message& msg);
+  // Wire transport of Admit(): decodes a kBatchAcquire, builds the reply.
+  Message ServeAcquire(const Message& msg);
   void HandleCommitLog(const Message& msg);
   void SendCommitLogAck(uint32_t core, uint64_t epoch, uint64_t record_index);
   void HandleRelease(const Message& msg);
   void NotifyVictims(const std::vector<Victim>& victims);
-  TxInfo DecodeRequester(const Message& msg) const;
   void ChargeProcessing(uint64_t items);
 
   // True when `stripe` falls inside a range this service is draining.
@@ -161,9 +178,6 @@ class DtmService {
   // kOwnershipUpdate broadcast, trace event. Called after drains and after
   // every release.
   void MaybeCompleteMigrations();
-  // Admission control: true when a non-committing acquire must be refused
-  // with ConflictKind::kOverload (inbox above the high-water mark).
-  bool Overloaded(bool committing) const;
   // Migration policy: tallies the acquire against its owned range (if any)
   // and, every migrate_check_every requests, migrates the hottest
   // above-threshold range to the next partition.

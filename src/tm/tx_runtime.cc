@@ -4,6 +4,7 @@
 #include <map>
 
 #include "src/common/check.h"
+#include "src/shmem/abort_status.h"
 #include "src/sim/fiber.h"
 
 namespace tm2c {
@@ -138,39 +139,46 @@ void TxRuntime::ServePending() {
   Message msg;
   int budget = 128;
   while (budget-- > 0 && env_.TryRecv(&msg)) {
-    if (msg.type == MsgType::kAbortNotify) {
+    DispatchInbox(msg);
+  }
+}
+
+void TxRuntime::DispatchInbox(const Message& msg) {
+  switch (msg.type) {
+    case MsgType::kAbortNotify:
+      // Recorded for the running attempt only; a notification for a
+      // finished attempt is stale. One that reaches a committer past its
+      // persist is harmless too: nothing checks it before the commit ends.
       if (in_tx_ && msg.w1 == current_epoch_) {
         pending_abort_ = true;
         pending_abort_kind_ = static_cast<ConflictKind>(msg.w2);
       }
-      continue;  // stale notification for a finished attempt
-    }
-    if (msg.type == MsgType::kBarrier) {
-      // A peer already reached a privatization barrier we have not entered
-      // yet; remember its token for when we do.
+      return;
+    case MsgType::kBarrier:
+      // A peer reached a privatization barrier; its token counts towards
+      // that generation whenever we get there.
       ++barrier_arrivals_[msg.w0];
-      continue;
-    }
-    if (msg.type == MsgType::kOwnershipUpdate) {
+      return;
+    case MsgType::kOwnershipUpdate:
       // A stripe range changed owner. The directory is shared, so the next
       // routing lookup already sees the flip; just count the notification.
       ++stats_.ownership_updates;
-      continue;
-    }
-    if (msg.type == MsgType::kBatchReply) {
-      // A pipelined prefetch reply landing while this core does local
-      // work: record the grants (or the refusal) right away.
+      return;
+    case MsgType::kBatchReply:
+      // A pipelined request resolving while this core waits or works on
+      // something else: record the grants (or the refusal) right away.
       CompleteBatch(msg);
-      continue;
-    }
-    if (local_service_ != nullptr) {
-      env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
-      if (local_service_->HandleMessage(msg)) {
-        continue;  // multitasked deployment: served a DTM request
-      }
-    }
-    TM2C_FATAL("unexpected message in application inbox");
+      return;
+    default:
+      break;
   }
+  if (local_service_ != nullptr) {
+    env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
+    if (local_service_->HandleMessage(msg)) {
+      return;  // multitasked deployment: served a DTM request (Figure 2)
+    }
+  }
+  TM2C_FATAL("unexpected message in application inbox");
 }
 
 void TxRuntime::RequestMigration(uint64_t base, uint64_t bytes, uint32_t target_partition) {
@@ -181,7 +189,7 @@ void TxRuntime::RequestMigration(uint64_t base, uint64_t bytes, uint32_t target_
   msg.w0 = base;
   msg.w1 = bytes;
   msg.w2 = target_partition;
-  FireAndForget(owner_core, std::move(msg));
+  SendRequest(owner_core, std::move(msg));
 }
 
 void TxRuntime::PrivatizationBarrier() {
@@ -204,25 +212,7 @@ void TxRuntime::PrivatizationBarrier() {
   // g+1 tokens while we still collect g; those are buffered, never lost.
   const uint32_t needed = plan.num_app() - 1;
   while (barrier_arrivals_[generation] < needed) {
-    Message msg = env_.Recv();
-    switch (msg.type) {
-      case MsgType::kBarrier:
-        ++barrier_arrivals_[msg.w0];
-        break;
-      case MsgType::kAbortNotify:
-        break;  // stale: we are not in a transaction
-      case MsgType::kOwnershipUpdate:
-        ++stats_.ownership_updates;  // directory is shared; nothing to apply
-        break;
-      default:
-        if (local_service_ != nullptr) {
-          env_.Compute(config_.multitask_switch_cycles);
-          if (local_service_->HandleMessage(msg)) {
-            break;
-          }
-        }
-        TM2C_FATAL("unexpected message while in the privatization barrier");
-    }
+    DispatchInbox(env_.Recv());
   }
   barrier_arrivals_.erase(generation);
 }
@@ -265,101 +255,50 @@ uint64_t TxRuntime::WireMetric() {
   return 0;
 }
 
-Message TxRuntime::Rpc(uint32_t dst, Message request) {
-  ++stats_.messages_sent;
-  if (dst == env_.core_id()) {
-    // Multitasked deployment: this core is its own responsible node.
-    TM2C_CHECK_MSG(local_service_ != nullptr, "self-addressed request without a local service");
-    request.src = env_.core_id();
-    env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
-    return local_service_->HandleLocal(request);
-  }
-  env_.Send(dst, std::move(request));
-  for (;;) {
-    Message msg = env_.Recv();
-    switch (msg.type) {
-      case MsgType::kLockGranted:
-      case MsgType::kLockConflict:
-        return msg;
-      case MsgType::kBatchReply:
-        // A still-outstanding pipelined batch (prefetch) resolving while a
-        // scalar request waits: record it and keep waiting for the scalar
-        // response.
-        CompleteBatch(msg);
-        continue;
-      case MsgType::kAbortNotify:
-        if (in_tx_ && msg.w1 == current_epoch_) {
-          pending_abort_ = true;
-          pending_abort_kind_ = static_cast<ConflictKind>(msg.w2);
-        }
-        continue;
-      case MsgType::kBarrier:
-        ++barrier_arrivals_[msg.w0];  // peer reached a privatization barrier
-        continue;
-      case MsgType::kOwnershipUpdate:
-        ++stats_.ownership_updates;  // directory is shared; nothing to apply
-        continue;
-      default:
-        if (local_service_ != nullptr) {
-          env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
-          if (local_service_->HandleMessage(msg)) {
-            continue;  // served a DTM request while waiting (Figure 2)
-          }
-        }
-        TM2C_FATAL("unexpected message while awaiting a DTM response");
-    }
-  }
-}
-
-Message TxRuntime::AcquireRpc(uint32_t dst, Message request, uint64_t stripes) {
-  const SimTime start = env_.LocalNow();
-  Message rsp = Rpc(dst, std::move(request));
-  stats_.acquire_time += env_.LocalNow() - start;
-  stats_.lock_acquires += stripes;
-  stats_.remote_acquires += stripes;
-  return rsp;
-}
-
-void TxRuntime::IssueBatch(uint32_t node, std::vector<uint64_t> stripes, bool is_write,
-                           bool committing) {
+uint64_t TxRuntime::IssueBatch(uint32_t node, std::vector<uint64_t> stripes, bool is_write,
+                               bool committing, bool batched) {
   const SimTime issue_start = env_.LocalNow();
   const uint64_t request_id = next_request_id_++;
   const auto len = static_cast<uint32_t>(stripes.size());
+  TM2C_DCHECK(batched || len == 1);
   Message req;
   req.type = MsgType::kBatchAcquire;
-  req.w0 = (committing ? kBatchFlagCommit : 0) | (request_id << kBatchReqIdShift);
+  req.w0 = (is_write ? kBatchFlagWrite : 0) | (committing ? kBatchFlagCommit : 0) |
+           (request_id << kBatchReqIdShift);
   req.w1 = current_epoch_;
   req.w2 = WireMetric();
-  req.w3 = is_write ? PrefixBitmap(len) : 0;
-  req.extra = stripes;  // the in-flight record keeps its own copy
-  ++stats_.batch_messages;
-  ++stats_.messages_sent;
-  // Depth at issue counts this request itself; depth 1 (lockstep) lands
-  // every batch in bucket 0.
-  const size_t depth = inflight_.size() + 1;
-  ++stats_.inflight_depth_hist[std::min<size_t>(depth, stats_.inflight_depth_hist.size()) - 1];
+  if (batched) {
+    req.extra = stripes;  // the in-flight record keeps its own copy
+    ++stats_.batch_messages;
+    // Depth at issue counts this request itself; depth 1 (lockstep) lands
+    // every batch in bucket 0.
+    const size_t depth = inflight_.size() + 1;
+    ++stats_.inflight_depth_hist[std::min<size_t>(depth, stats_.inflight_depth_hist.size()) - 1];
+  } else {
+    req.w3 = stripes[0];
+  }
   if (trace_ != nullptr) {
     trace_->OnAcquireIssue(env_.core_id(), request_id, node, len, is_write);
   }
-  InFlightAcquire fl;
-  fl.node = node;
-  fl.stripes = std::move(stripes);
-  fl.is_write = is_write;
-  fl.issue_start = issue_start;
-  if (node == env_.core_id()) {
-    // Multitasked deployment: this core is its own responsible node. The
-    // request resolves synchronously at the issue position — exactly the
-    // lockstep ordering — so it spends no time in the in-flight table.
-    TM2C_CHECK_MSG(local_service_ != nullptr, "self-addressed request without a local service");
-    req.src = env_.core_id();
-    env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
-    Message rsp = local_service_->HandleLocal(std::move(req));
-    inflight_.emplace(request_id, std::move(fl));
+  inflight_.emplace(request_id, InFlightAcquire{std::move(stripes), is_write, issue_start});
+  // A self-addressed request resolves synchronously at the issue position —
+  // exactly the lockstep ordering — so it spends no time in the table.
+  const Message rsp = SendRequest(node, std::move(req));
+  if (rsp.type == MsgType::kBatchReply) {
     CompleteBatch(rsp);
-    return;
   }
-  env_.Send(node, std::move(req));
-  inflight_.emplace(request_id, std::move(fl));
+  return request_id;
+}
+
+void TxRuntime::RecordGrants(const std::vector<uint64_t>& stripes, size_t granted, bool is_write) {
+  for (size_t i = 0; i < granted; ++i) {
+    const uint64_t stripe = stripes[i];
+    if (is_write) {
+      write_locks_.insert(stripe);
+    } else if (read_locks_.insert(stripe).second) {
+      read_lock_order_.push_back(stripe);
+    }
+  }
 }
 
 void TxRuntime::CompleteBatch(const Message& rsp) {
@@ -371,36 +310,31 @@ void TxRuntime::CompleteBatch(const Message& rsp) {
   const size_t len = fl.stripes.size();
   const auto granted = static_cast<size_t>(rsp.w3 & kBatchReqIdMask);
   TM2C_DCHECK(granted <= len);
-  for (size_t i = 0; i < granted; ++i) {
-    const uint64_t stripe = fl.stripes[i];
-    if (fl.is_write) {
-      write_locks_.insert(stripe);
-    } else if (read_locks_.insert(stripe).second) {
-      read_lock_order_.push_back(stripe);
-    }
-  }
+  RecordGrants(fl.stripes, granted, fl.is_write);
   // Per-request acquire latency: overlapped requests each charge their full
   // issue-to-completion interval (the per-request mean is the pipelining
   // metric; wall time is tracked by busy_time).
   stats_.acquire_time += env_.LocalNow() - fl.issue_start;
   stats_.lock_acquires += len;
   stats_.remote_acquires += len;
-  for (uint64_t stripe : fl.stripes) {
-    auto p = prefetch_pending_.find(stripe);
-    if (p != prefetch_pending_.end() && p->second == request_id) {
-      prefetch_pending_.erase(p);
+  if (!prefetch_pending_.empty()) {
+    for (uint64_t stripe : fl.stripes) {
+      auto p = prefetch_pending_.find(stripe);
+      if (p != prefetch_pending_.end() && p->second == request_id) {
+        prefetch_pending_.erase(p);
+      }
     }
   }
-  const auto kind = static_cast<ConflictKind>(rsp.w2);
+  const auto kind = granted < len ? static_cast<ConflictKind>(rsp.w2) : ConflictKind::kNone;
+  last_completion_ = {request_id, kind};
   if (trace_ != nullptr) {
-    trace_->OnAcquireComplete(env_.core_id(), request_id, static_cast<uint32_t>(granted),
-                              granted < len ? kind : ConflictKind::kNone);
+    trace_->OnAcquireComplete(env_.core_id(), request_id, static_cast<uint32_t>(granted), kind);
   }
   if (granted < len) {
     // The runtime routes with the same AddressMap the service validates
     // against, so a refusal always carries a conflict kind; a kind-less
     // refusal means a misrouted entry (map mismatch) and retrying the
-    // identical batch would livelock silently.
+    // identical request would livelock silently.
     TM2C_CHECK_MSG(kind != ConflictKind::kNone,
                    "batch refused without a conflict kind: runtime/service AddressMap mismatch");
     if (pending_refusal_ == ConflictKind::kNone) {
@@ -412,31 +346,10 @@ void TxRuntime::CompleteBatch(const Message& rsp) {
 void TxRuntime::WaitOneReply() {
   TM2C_CHECK_MSG(!inflight_.empty(), "waiting for a batch reply with none outstanding");
   for (;;) {
-    Message msg = env_.Recv();
-    switch (msg.type) {
-      case MsgType::kBatchReply:
-        CompleteBatch(msg);
-        return;
-      case MsgType::kAbortNotify:
-        if (in_tx_ && msg.w1 == current_epoch_) {
-          pending_abort_ = true;
-          pending_abort_kind_ = static_cast<ConflictKind>(msg.w2);
-        }
-        continue;
-      case MsgType::kBarrier:
-        ++barrier_arrivals_[msg.w0];  // peer reached a privatization barrier
-        continue;
-      case MsgType::kOwnershipUpdate:
-        ++stats_.ownership_updates;  // directory is shared; nothing to apply
-        continue;
-      default:
-        if (local_service_ != nullptr) {
-          env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
-          if (local_service_->HandleMessage(msg)) {
-            continue;  // served a DTM request while waiting (Figure 2)
-          }
-        }
-        TM2C_FATAL("unexpected message while awaiting a batch reply");
+    const Message msg = env_.Recv();
+    DispatchInbox(msg);
+    if (msg.type == MsgType::kBatchReply) {
+      return;
     }
   }
 }
@@ -465,57 +378,78 @@ void TxRuntime::LocalAcquireSpanOrAbort(const std::vector<uint64_t>& stripes, bo
   if (trace_ != nullptr) {
     trace_->OnAcquireIssue(env_.core_id(), request_id, env_.core_id(), n, is_write);
   }
-  ConflictKind refused = ConflictKind::kNone;
-  const uint32_t granted = local_service_->AcquireSpanDirect(
-      current_epoch_, WireMetric(), stripes.data(), n, is_write, committing, &refused);
-  for (uint32_t i = 0; i < granted; ++i) {
-    const uint64_t stripe = stripes[i];
-    if (is_write) {
-      write_locks_.insert(stripe);
-    } else if (read_locks_.insert(stripe).second) {
-      read_lock_order_.push_back(stripe);
-    }
-  }
+  DtmService::AdmitRequest request;
+  request.core = env_.core_id();
+  request.epoch = current_epoch_;
+  request.metric_wire = WireMetric();
+  request.addrs = stripes.data();
+  request.n = n;
+  request.is_write = is_write;
+  request.committing = committing;
+  request.direct = true;
+  const DtmService::AdmitResult result = local_service_->Admit(request);
+  RecordGrants(stripes, result.granted, is_write);
   stats_.acquire_time += env_.LocalNow() - start;
   stats_.lock_acquires += n;
   stats_.local_acquires += n;
   if (trace_ != nullptr) {
-    trace_->OnAcquireComplete(env_.core_id(), request_id, granted,
-                              granted < n ? refused : ConflictKind::kNone);
+    trace_->OnAcquireComplete(env_.core_id(), request_id, result.granted, result.refused);
   }
-  if (granted < n) {
-    TM2C_CHECK_MSG(refused != ConflictKind::kNone,
+  if (result.granted < n) {
+    TM2C_CHECK_MSG(result.refused != ConflictKind::kNone,
                    "local span refused without a conflict kind");
-    AbortSelf(refused);
+    AbortSelf(result.refused);
   }
 }
 
-void TxRuntime::AcquireGroupsOrAbort(const std::map<uint32_t, std::vector<uint64_t>>& by_node,
-                                     bool is_write, bool committing) {
+void TxRuntime::IssueGroups(const std::map<uint32_t, std::vector<uint64_t>>& by_node,
+                            bool is_write, bool committing, bool prefetch) {
+  // Unbatched (max_batch == 1): every stripe is its own one-entry request,
+  // one in flight at a time — the pre-batching wire behaviour.
+  const bool batched = config_.max_batch > 1;
+  const size_t chunk = batched ? config_.max_batch : 1;
+  const size_t depth = batched ? config_.pipeline_depth : 1;
   for (const auto& [node, stripes] : by_node) {
     if (pending_refusal_ != ConflictKind::kNone) {
-      break;  // doomed: stop issuing, drain, abort below
+      break;  // doomed: stop issuing
     }
     if (LocalFastPathEligible(node)) {
-      // Zero-message span acquisition: no 64-entry cap, one table pass.
-      LocalAcquireSpanOrAbort(stripes, is_write, committing);
+      // Zero-message span acquisition: no 64-entry cap, one table pass —
+      // or, unbatched, one admission per stripe.
+      if (batched) {
+        LocalAcquireSpanOrAbort(stripes, is_write, committing);
+      } else {
+        for (uint64_t stripe : stripes) {
+          LocalAcquireSpanOrAbort({stripe}, is_write, committing);
+        }
+      }
       continue;
     }
-    for (size_t pos = 0; pos < stripes.size(); pos += config_.max_batch) {
-      while (inflight_.size() >= config_.pipeline_depth &&
-             pending_refusal_ == ConflictKind::kNone) {
+    for (size_t pos = 0; pos < stripes.size(); pos += chunk) {
+      while (inflight_.size() >= depth && pending_refusal_ == ConflictKind::kNone) {
         WaitOneReply();
       }
       if (pending_refusal_ != ConflictKind::kNone) {
         break;
       }
-      const size_t len = std::min<size_t>(config_.max_batch, stripes.size() - pos);
-      IssueBatch(node,
-                 std::vector<uint64_t>(stripes.begin() + static_cast<ptrdiff_t>(pos),
-                                       stripes.begin() + static_cast<ptrdiff_t>(pos + len)),
-                 is_write, committing);
+      const size_t len = std::min(chunk, stripes.size() - pos);
+      std::vector<uint64_t> request(stripes.begin() + static_cast<ptrdiff_t>(pos),
+                                    stripes.begin() + static_cast<ptrdiff_t>(pos + len));
+      if (prefetch) {
+        // Register before issuing: a self-addressed request resolves inside
+        // IssueBatch and its CompleteBatch must find (and clear) the entries.
+        for (uint64_t stripe : request) {
+          prefetch_pending_[stripe] = next_request_id_;  // IssueBatch consumes it
+        }
+      }
+      IssueBatch(node, std::move(request), is_write, committing, batched);
     }
   }
+}
+
+void TxRuntime::AcquireGroupsOrAbort(const std::map<uint32_t, std::vector<uint64_t>>& by_node,
+                                     bool is_write, bool committing) {
+  IssueGroups(by_node, is_write, committing, /*prefetch=*/false);
   // Every reply must land before the refusal takes effect: a late grant
   // belongs to the held-lock sets so the abort (or commit) path releases it.
   DrainInFlight();
@@ -526,36 +460,24 @@ void TxRuntime::AcquireGroupsOrAbort(const std::map<uint32_t, std::vector<uint64
   }
 }
 
-void TxRuntime::AcquireReadLockOrAbort(uint64_t stripe) {
+void TxRuntime::AcquireOneOrAbort(uint64_t stripe, bool is_write, bool committing) {
   const uint32_t node = map_.ResponsibleCore(stripe);
   if (LocalFastPathEligible(node)) {
-    LocalAcquireSpanOrAbort({stripe}, /*is_write=*/false, /*committing=*/false);
+    LocalAcquireSpanOrAbort({stripe}, is_write, committing);
     return;
   }
-  Message req;
-  req.type = MsgType::kReadLockReq;
-  req.w0 = stripe;
-  req.w1 = current_epoch_;
-  req.w2 = WireMetric();
-  Message rsp = AcquireRpc(node, std::move(req), 1);
-  if (rsp.type == MsgType::kLockConflict) {
-    AbortSelf(static_cast<ConflictKind>(rsp.w2));
+  const uint64_t request_id = IssueBatch(node, {stripe}, is_write, committing, /*batched=*/false);
+  while (inflight_.find(request_id) != inflight_.end()) {
+    WaitOneReply();
   }
-  if (read_locks_.insert(stripe).second) {
-    read_lock_order_.push_back(stripe);
+  TM2C_DCHECK(last_completion_.first == request_id);
+  if (last_completion_.second != ConflictKind::kNone) {
+    AbortSelf(last_completion_.second);
   }
 }
 
-void TxRuntime::TxPrefetch(const std::vector<uint64_t>& addrs) {
-  CheckBodyContract();
-  TM2C_CHECK_MSG(in_tx_, "tx.Prefetch outside a transaction");
-  // Scalar wire semantics have nothing to overlap, and the elastic modes
-  // keep their per-read window behaviour: both degrade to a no-op
-  // (Prefetch is a hint, never required for correctness).
-  if (config_.tx_mode != TxMode::kNormal || config_.max_batch <= 1) {
-    return;
-  }
-  CheckPendingAbort();
+std::map<uint32_t, std::vector<uint64_t>> TxRuntime::GroupReadStripes(
+    const std::vector<uint64_t>& addrs, bool skip_prefetched) {
   std::map<uint32_t, std::vector<uint64_t>> by_node;
   std::unordered_set<uint64_t> requested;
   for (uint64_t addr : addrs) {
@@ -565,59 +487,52 @@ void TxRuntime::TxPrefetch(const std::vector<uint64_t>& addrs) {
       continue;
     }
     const uint64_t stripe = map_.StripeOf(addr);
+    if (prefetch_pending_.find(stripe) != prefetch_pending_.end()) {
+      if (skip_prefetched) {
+        continue;
+      }
+      WaitForStripe(stripe);  // the prefetched lock is about to land
+    }
     if (read_locks_.find(stripe) != read_locks_.end() ||
-        write_locks_.find(stripe) != write_locks_.end() ||
-        prefetch_pending_.find(stripe) != prefetch_pending_.end() ||
-        !requested.insert(stripe).second) {
+        write_locks_.find(stripe) != write_locks_.end() || !requested.insert(stripe).second) {
       continue;
     }
     by_node[map_.ResponsibleCore(stripe)].push_back(stripe);
   }
-  for (const auto& [node, stripes] : by_node) {
-    if (pending_refusal_ != ConflictKind::kNone) {
-      break;  // already doomed; the next transactional op aborts
-    }
-    if (LocalFastPathEligible(node)) {
-      LocalAcquireSpanOrAbort(stripes, /*is_write=*/false, /*committing=*/false);
-      continue;
-    }
-    for (size_t pos = 0; pos < stripes.size(); pos += config_.max_batch) {
-      while (inflight_.size() >= config_.pipeline_depth &&
-             pending_refusal_ == ConflictKind::kNone) {
-        WaitOneReply();
-      }
-      if (pending_refusal_ != ConflictKind::kNone) {
-        break;
-      }
-      const size_t len = std::min<size_t>(config_.max_batch, stripes.size() - pos);
-      std::vector<uint64_t> chunk(stripes.begin() + static_cast<ptrdiff_t>(pos),
-                                  stripes.begin() + static_cast<ptrdiff_t>(pos + len));
-      // Register before issuing: a self-addressed chunk resolves inside
-      // IssueBatch and its CompleteBatch must find (and clear) the entries.
-      const uint64_t request_id = next_request_id_;  // IssueBatch consumes it
-      for (uint64_t stripe : chunk) {
-        prefetch_pending_[stripe] = request_id;
-      }
-      IssueBatch(node, std::move(chunk), /*is_write=*/false, /*committing=*/false);
-    }
+  return by_node;
+}
+
+void TxRuntime::TxPrefetch(const std::vector<uint64_t>& addrs) {
+  CheckBodyContract();
+  TM2C_CHECK_MSG(in_tx_, "tx.Prefetch outside a transaction");
+  // Unbatched wire semantics have nothing to overlap, and the elastic
+  // modes keep their per-read window behaviour: both degrade to a no-op
+  // (Prefetch is a hint, never required for correctness).
+  if (config_.tx_mode != TxMode::kNormal || config_.max_batch <= 1) {
+    return;
   }
+  CheckPendingAbort();
+  // A refusal surfaces at the next transactional op.
+  IssueGroups(GroupReadStripes(addrs, /*skip_prefetched=*/true), /*is_write=*/false,
+              /*committing=*/false, /*prefetch=*/true);
   // Lockstep configurations get the synchronous ReadMany-style acquisition
-  // without the reads; a refusal surfaces at the next transactional op.
+  // without the reads.
   if (config_.pipeline_depth == 1) {
     DrainInFlight();
   }
 }
 
-void TxRuntime::FireAndForget(uint32_t dst, Message msg) {
+Message TxRuntime::SendRequest(uint32_t dst, Message msg) {
   ++stats_.messages_sent;
   if (dst == env_.core_id()) {
-    TM2C_CHECK_MSG(local_service_ != nullptr, "self-addressed release without a local service");
+    // Multitasked deployment: this core is its own responsible node.
+    TM2C_CHECK_MSG(local_service_ != nullptr, "self-addressed request without a local service");
     msg.src = env_.core_id();
     env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
-    local_service_->HandleLocal(std::move(msg));
-    return;
+    return local_service_->HandleLocal(msg);
   }
   env_.Send(dst, std::move(msg));
+  return Message{};
 }
 
 uint64_t TxRuntime::TxRead(uint64_t addr) {
@@ -653,28 +568,8 @@ std::vector<uint64_t> TxRuntime::TxReadMany(const std::vector<uint64_t>& addrs) 
   }
   stats_.reads += addrs.size();
   CheckPendingAbort();
-  // Group the stripes that still need a read lock by responsible node; a
-  // buffered write, a cached read, or an already-held lock covers its
-  // address, and duplicates collapse to one entry.
-  std::map<uint32_t, std::vector<uint64_t>> by_node;
-  std::unordered_set<uint64_t> requested;
-  for (uint64_t addr : addrs) {
-    TM2C_DCHECK(addr % kWordBytes == 0);
-    if (write_buffer_.find(addr) != write_buffer_.end() ||
-        read_cache_.find(addr) != read_cache_.end()) {
-      continue;
-    }
-    const uint64_t stripe = map_.StripeOf(addr);
-    if (prefetch_pending_.find(stripe) != prefetch_pending_.end()) {
-      WaitForStripe(stripe);  // the prefetched lock is about to land
-    }
-    if (read_locks_.find(stripe) != read_locks_.end() ||
-        write_locks_.find(stripe) != write_locks_.end() || !requested.insert(stripe).second) {
-      continue;
-    }
-    by_node[map_.ResponsibleCore(stripe)].push_back(stripe);
-  }
-  AcquireGroupsOrAbort(by_node, /*is_write=*/false, /*committing=*/false);
+  AcquireGroupsOrAbort(GroupReadStripes(addrs, /*skip_prefetched=*/false), /*is_write=*/false,
+                       /*committing=*/false);
   // Every lock is held: the per-address reads below send no messages.
   for (uint64_t addr : addrs) {
     values.push_back(ReadNormal(addr, /*elastic_early=*/false));
@@ -705,7 +600,7 @@ uint64_t TxRuntime::ReadNormal(uint64_t addr, bool elastic_early) {
   if (config_.fault != FaultMode::kSkipReadLock &&
       read_locks_.find(stripe) == read_locks_.end() &&
       write_locks_.find(stripe) == write_locks_.end()) {
-    AcquireReadLockOrAbort(stripe);
+    AcquireOneOrAbort(stripe, /*is_write=*/false, /*committing=*/false);
 
     if (elastic_early) {
       // Elastic-early (Section 6.1): keep only the trailing window of read
@@ -727,7 +622,7 @@ uint64_t TxRuntime::ReadNormal(uint64_t addr, bool elastic_early) {
         rel.type = MsgType::kEarlyReadRelease;
         rel.w0 = oldest;
         rel.w1 = current_epoch_;
-        FireAndForget(map_.ResponsibleCore(oldest), std::move(rel));
+        SendRequest(map_.ResponsibleCore(oldest), std::move(rel));
         ++stats_.early_releases;
       }
     }
@@ -790,7 +685,7 @@ void TxRuntime::TxWrite(uint64_t addr, uint64_t value) {
     const uint64_t stripe = map_.StripeOf(addr);
     if (auto it = early_released_values_.find(stripe); it != early_released_values_.end()) {
       const uint64_t expected = it->second;
-      AcquireReadLockOrAbort(stripe);
+      AcquireOneOrAbort(stripe, /*is_write=*/false, /*committing=*/false);
       early_released_values_.erase(stripe);
       if (env_.ShmemRead(addr) != expected) {
         ++stats_.validation_failures;
@@ -802,7 +697,7 @@ void TxRuntime::TxWrite(uint64_t addr, uint64_t value) {
   if (config_.write_acquire == WriteAcquire::kEager) {
     const uint64_t stripe = map_.StripeOf(addr);
     if (write_locks_.find(stripe) == write_locks_.end()) {
-      AcquireWriteLockOrAbort(stripe);
+      AcquireOneOrAbort(stripe, /*is_write=*/true, /*committing=*/false);
     }
   }
   // Deferred write (write-back): buffer locally, persist at commit.
@@ -811,25 +706,6 @@ void TxRuntime::TxWrite(uint64_t addr, uint64_t value) {
   } else {
     write_buffer_[addr] = value;
   }
-}
-
-void TxRuntime::AcquireWriteLockOrAbort(uint64_t stripe, bool committing) {
-  const uint32_t node = map_.ResponsibleCore(stripe);
-  if (LocalFastPathEligible(node)) {
-    LocalAcquireSpanOrAbort({stripe}, /*is_write=*/true, committing);
-    return;
-  }
-  Message req;
-  req.type = MsgType::kWriteLockReq;
-  req.w0 = stripe;
-  req.w1 = current_epoch_;
-  req.w2 = WireMetric();
-  req.w3 = committing ? 1 : 0;
-  Message rsp = AcquireRpc(node, std::move(req), 1);
-  if (rsp.type == MsgType::kLockConflict) {
-    AbortSelf(static_cast<ConflictKind>(rsp.w2));
-  }
-  write_locks_.insert(stripe);
 }
 
 void TxRuntime::TxCommit() {
@@ -852,20 +728,11 @@ void TxRuntime::TxCommit() {
       }
       by_node[map_.ResponsibleCore(stripe)].push_back(stripe);
     }
-    if (config_.max_batch <= 1) {
-      // Unbatched wire behaviour: one round trip per stripe.
-      for (const auto& [node, stripes] : by_node) {
-        (void)node;
-        for (uint64_t stripe : stripes) {
-          AcquireWriteLockOrAbort(stripe, /*committing=*/true);
-        }
-      }
-    } else {
-      // Write-lock batching (Section 3.3): all locks a node is responsible
-      // for travel in chunks of at most max_batch addresses, up to
-      // pipeline_depth chunks overlapped in flight.
-      AcquireGroupsOrAbort(by_node, /*is_write=*/true, /*committing=*/true);
-    }
+    // Write-lock batching (Section 3.3): all locks a node is responsible
+    // for travel in chunks of at most max_batch addresses, up to
+    // pipeline_depth chunks overlapped in flight; unbatched, one round trip
+    // per stripe.
+    AcquireGroupsOrAbort(by_node, /*is_write=*/true, /*committing=*/true);
   }
 
   // All locks held. A revocation of one of our read locks may still be in
@@ -934,45 +801,51 @@ void TxRuntime::TxCommit() {
     return;
   }
 
-  // Commit point. With the abort-status protocol enabled, the status read
-  // and the whole write-set persist execute at one simulated instant: a
-  // revocation either lands before (the status word names our epoch and we
-  // abort with no writes applied) or after (we are fully persisted and the
-  // revoker serializes behind us). Without it — standalone harnesses — the
-  // persist is word-at-a-time and relies on notification timing alone.
+  // Commit point. With the abort-status protocol enabled, the status check
+  // and the whole write-set persist are atomic with respect to revocations:
+  // a revocation either lands before (the status word names our epoch and
+  // we abort with no writes applied) or after (we are fully persisted and
+  // the revoker serializes behind us). On the simulator they execute at one
+  // simulated instant; on threads and processes the persisting marker makes
+  // a concurrent revocation wait until the stores are done
+  // (src/shmem/abort_status.h). Without the protocol — standalone
+  // harnesses — the persist is word-at-a-time and relies on notification
+  // timing alone.
   if (config_.abort_status_base != TmConfig::kNoAbortStatus) {
     const uint64_t status_addr = config_.abort_status_base + env_.core_id() * kWordBytes;
     (void)env_.ShmemRead(status_addr);  // pay the access latency
-    // Re-read instantly after the timed access: nothing can interleave
-    // between this load and the stores below (single simulated instant).
-    if (env_.shmem().LoadWord(status_addr) == current_epoch_) {
+    uint64_t prior_status = 0;
+    if (!BeginPersist(env_.shmem(), status_addr, current_epoch_, &prior_status)) {
       ++stats_.notify_aborts;
       AbortSelf(pending_abort_kind_ != ConflictKind::kNone ? pending_abort_kind_
                                                            : ConflictKind::kWriteAfterRead);
     }
-    // Elastic updates: re-validate at this same instant. The timed
-    // validation above paid the cost, but a foreign commit can land
-    // between it and this point (unlocked reads leave that window open);
-    // the instant recheck makes validation and persist atomic. Written
-    // locations are exempt: their write locks have been held since before
-    // the timed validation, so nothing can have changed them since it
-    // passed.
+    // Elastic updates: re-validate inside the window. The timed validation
+    // above paid the cost, but a foreign commit can land between it and
+    // this point (unlocked reads leave that window open); the recheck makes
+    // validation and persist atomic. Written locations are exempt: their
+    // write locks have been held since before the timed validation, so
+    // nothing can have changed them since it passed.
+    bool stale_read = false;
     if (config_.tx_mode == TxMode::kElasticRead && !write_buffer_.empty()) {
       for (const auto& [addr, value] : elastic_read_values_) {
         if (write_buffer_.find(addr) == write_buffer_.end() &&
             env_.shmem().LoadWord(addr) != value) {
-          ++stats_.validation_failures;
-          AbortSelf(ConflictKind::kReadAfterWrite);
+          stale_read = true;
         }
       }
     }
     if (config_.tx_mode == TxMode::kElasticEarly && !write_buffer_.empty()) {
       for (const auto& [stripe, value] : early_released_values_) {
         if (env_.shmem().LoadWord(stripe) != value) {
-          ++stats_.validation_failures;
-          AbortSelf(ConflictKind::kReadAfterWrite);
+          stale_read = true;
         }
       }
+    }
+    if (stale_read) {
+      EndPersist(env_.shmem(), status_addr, prior_status);
+      ++stats_.validation_failures;
+      AbortSelf(ConflictKind::kReadAfterWrite);
     }
     for (uint64_t addr : write_order_) {
       env_.shmem().StoreWord(addr, write_buffer_[addr]);
@@ -980,6 +853,7 @@ void TxRuntime::TxCommit() {
         trace_->OnTxPersist(env_.core_id(), addr, write_buffer_[addr]);
       }
     }
+    EndPersist(env_.shmem(), status_addr, prior_status);
     // Charge the persist time after the fact (idempotence-free: no re-store).
     env_.Compute(env_.platform().mem_latency_cycles * write_order_.size());
   } else {
@@ -1041,24 +915,15 @@ void TxRuntime::LogCommitDurable() {
     ++awaiting;
   }
   while (awaiting > 0) {
-    Message msg = env_.Recv();
-    switch (msg.type) {
-      case MsgType::kCommitLogAck:
-        TM2C_CHECK(msg.w1 == current_epoch_);
-        --awaiting;
-        break;
-      case MsgType::kAbortNotify:
-        // Too late: the write set is already persisted and logged — this
-        // commit wins; the revoker's refusal bounced it already.
-        break;
-      case MsgType::kBarrier:
-        ++barrier_arrivals_[msg.w0];
-        break;
-      case MsgType::kOwnershipUpdate:
-        ++stats_.ownership_updates;  // directory is shared; nothing to apply
-        break;
-      default:
-        TM2C_FATAL("unexpected message while awaiting kCommitLogAck");
+    const Message msg = env_.Recv();
+    if (msg.type == MsgType::kCommitLogAck) {
+      TM2C_CHECK(msg.w1 == current_epoch_);
+      --awaiting;
+    } else {
+      // An abort notification here is too late: the write set is already
+      // persisted and logged — this commit wins; the revoker's refusal
+      // bounced it already.
+      DispatchInbox(msg);
     }
   }
   stats_.commit_log_wait += env_.LocalNow() - wait_start;
@@ -1079,7 +944,7 @@ void TxRuntime::ReleaseAllLocks() {
     msg.type = MsgType::kReleaseAllWrites;
     msg.w1 = current_epoch_;
     msg.extra = std::move(stripes);
-    FireAndForget(node, std::move(msg));
+    SendRequest(node, std::move(msg));
   }
   for (auto& [node, stripes] : reads_by_node) {
     std::sort(stripes.begin(), stripes.end());
@@ -1087,7 +952,7 @@ void TxRuntime::ReleaseAllLocks() {
     msg.type = MsgType::kReleaseAllReads;
     msg.w1 = current_epoch_;
     msg.extra = std::move(stripes);
-    FireAndForget(node, std::move(msg));
+    SendRequest(node, std::move(msg));
   }
   read_locks_.clear();
   write_locks_.clear();

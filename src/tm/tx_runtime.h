@@ -171,63 +171,78 @@ class TxRuntime {
   // catch(...).
   void CheckBodyContract() const;
 
-  // Sends a lock request and waits for the matching response, serving the
-  // local DTM partition (multitasked) and recording abort notifications in
-  // the meantime. Returns the response message.
-  Message Rpc(uint32_t dst, Message request);
-  void FireAndForget(uint32_t dst, Message msg);
+  // Sends a request to a service; a self-addressed one (multitasked
+  // deployment) is served synchronously and its response returned — an
+  // empty Message for the other transports and for requests without one.
+  Message SendRequest(uint32_t dst, Message msg);
   uint64_t WireMetric();
-  void AcquireWriteLockOrAbort(uint64_t stripe, bool committing = false);
 
-  // Like Rpc but accounts the waiting time and the `stripes` addresses the
-  // request carries into the acquire-latency statistics.
-  Message AcquireRpc(uint32_t dst, Message request, uint64_t stripes);
+  // Handles one inbox message that is not the reply its caller waits for:
+  // abort notifications (recorded for the running attempt), privatization
+  // barrier tokens, ownership updates, pipelined kBatchReply completions,
+  // and — multitasked deployment — DTM requests for the local partition.
+  // Every wait loop of the runtime funnels its other traffic through here.
+  void DispatchInbox(const Message& msg);
 
-  // Pipelined batch acquisition. A kBatchAcquire is issued without waiting
-  // for its reply; the in-flight table keyed by a per-runtime request id
-  // matches interleaved replies back to their requests. At most
-  // TmConfig::pipeline_depth requests are outstanding at once;
+  // Acquisition. Every wire lock request is a kBatchAcquire issued without
+  // waiting for its reply; the in-flight table keyed by a per-runtime
+  // request id matches interleaved replies back to their requests. At most
+  // TmConfig::pipeline_depth group requests are outstanding at once;
   // pipeline_depth == 1 reproduces the lockstep request/reply sequence —
   // and its statistics — bit for bit.
   struct InFlightAcquire {
-    uint32_t node = 0;
-    std::vector<uint64_t> stripes;  // the chunk, in request order
+    std::vector<uint64_t> stripes;  // the request's entries, in order
     bool is_write = false;
     SimTime issue_start = 0;  // local clock at issue, for acquire_time
   };
 
-  // Issues one chunk towards `node`. Self-addressed requests (multitasked
-  // deployment) resolve synchronously at the issue position, preserving
-  // the lockstep ordering; everything else enters the in-flight table.
-  void IssueBatch(uint32_t node, std::vector<uint64_t> stripes, bool is_write, bool committing);
+  // Issues one request towards `node` and returns its request id.
+  // `batched` requests are chunks of a max_batch > 1 group: they carry an
+  // address list and count as batch messages; any other request has one
+  // entry and travels in the 5-word form. Self-addressed requests
+  // (multitasked deployment) resolve before this returns.
+  uint64_t IssueBatch(uint32_t node, std::vector<uint64_t> stripes, bool is_write, bool committing,
+                      bool batched);
   // Records a kBatchReply: the granted prefix enters the held-lock sets
   // immediately (an abort releases it with everything else — the protocol
   // is all-or-prefix, no service-side rollback); a refusal is noted in
-  // pending_refusal_ for the caller to act on.
+  // pending_refusal_ for the caller to act on, and in last_completion_.
   void CompleteBatch(const Message& rsp);
-  // Blocks until one in-flight batch completes, serving the local DTM
-  // partition (multitasked) and recording abort notifications meanwhile.
+  // The one reply pump: blocks until one in-flight request completes,
+  // dispatching everything else that arrives meanwhile.
   void WaitOneReply();
   void DrainInFlight();
   // Blocks until the prefetch covering `stripe` (if any) has resolved.
   void WaitForStripe(uint64_t stripe);
-  // Acquires every per-node group: all chunks are issued before any reply
-  // is awaited (up to pipeline_depth in flight), then the in-flight table
-  // is drained and the first refusal aborts. Owner-local groups take the
-  // fast path (LocalAcquireSpanOrAbort) instead of the wire.
+  // Issues every per-node group, up to pipeline_depth requests in flight
+  // (one at a time when unbatched). Owner-local groups take the fast path
+  // instead of the wire. `prefetch` registers each wire request's stripes
+  // in prefetch_pending_. Stops issuing at the first recorded refusal.
+  void IssueGroups(const std::map<uint32_t, std::vector<uint64_t>>& by_node, bool is_write,
+                   bool committing, bool prefetch);
+  // IssueGroups, then drains the in-flight table; the first refusal
+  // aborts.
   void AcquireGroupsOrAbort(const std::map<uint32_t, std::vector<uint64_t>>& by_node,
                             bool is_write, bool committing);
+  // Groups by responsible node the stripes of `addrs` that still need a
+  // read lock: a buffered write, a cached read or a held lock covers its
+  // address, and duplicates collapse to one entry. A stripe with a prefetch
+  // in flight is skipped (`skip_prefetched`) or waited for.
+  std::map<uint32_t, std::vector<uint64_t>> GroupReadStripes(const std::vector<uint64_t>& addrs,
+                                                             bool skip_prefetched);
+  // A lone acquisition (Read, eager write): a one-entry request that waits
+  // for its own reply; a refusal aborts.
+  void AcquireOneOrAbort(uint64_t stripe, bool is_write, bool committing);
 
   // Owner-local fast path: this core is the responsible node for the
-  // stripe and TmConfig::local_fast_path is on — call the local LockTable
-  // directly (same CM arbitration and revocation semantics, zero
-  // messages).
+  // stripe and TmConfig::local_fast_path is on — call the local service's
+  // Admit directly (same CM arbitration and revocation semantics, zero
+  // messages). A refusal aborts at once.
   bool LocalFastPathEligible(uint32_t node) const;
   void LocalAcquireSpanOrAbort(const std::vector<uint64_t>& stripes, bool is_write,
                                bool committing);
-  // Scalar read-lock acquisition (fast path or kReadLockReq round trip);
-  // records the stripe in the held-read-lock sets or aborts.
-  void AcquireReadLockOrAbort(uint64_t stripe);
+  // Enters the granted prefix of `stripes` into the held-lock sets.
+  void RecordGrants(const std::vector<uint64_t>& stripes, size_t granted, bool is_write);
 
   CoreEnv& env_;
   TmConfig config_;
@@ -258,15 +273,19 @@ class TxRuntime {
   // of written locations.
   std::unordered_map<uint64_t, uint64_t> elastic_read_values_;
 
-  // Pipelined-acquisition state. The request id counter spans attempts (a
+  // Acquisition state. The request id counter spans attempts (a
   // stale reply can never match a live request: every abort path drains
   // the in-flight table before releasing locks); pending_refusal_ holds
   // the first refusal observed by a completion until an abort consumes it;
   // prefetch_pending_ maps a prefetched stripe to the request that will
   // deliver its lock.
   uint64_t next_request_id_ = 0;
-  std::map<uint64_t, InFlightAcquire> inflight_;  // request id -> pending batch
+  std::map<uint64_t, InFlightAcquire> inflight_;  // request id -> pending request
   ConflictKind pending_refusal_ = ConflictKind::kNone;
+  // The most recent completion: (request id, its refusal or kNone). A lone
+  // acquisition reads its own outcome here — pending_refusal_ may already
+  // name an earlier prefetch's refusal.
+  std::pair<uint64_t, ConflictKind> last_completion_{0, ConflictKind::kNone};
   std::unordered_map<uint64_t, uint64_t> prefetch_pending_;  // stripe -> request id
 
   // Privatization barrier state: generation counter and early arrivals

@@ -150,19 +150,6 @@ TEST_F(LockTableTest, StaleWriteReleaseCannotClobberNewOwner) {
   EXPECT_EQ(writer, 2u);  // unaffected
 }
 
-TEST_F(LockTableTest, ReleaseAllOfClearsEverything) {
-  table_.ReadLock(Tx1(1), 0x10, *faircm_);
-  table_.ReadLock(Tx1(1), 0x20, *faircm_);
-  table_.WriteLock(Tx1(1), 0x30, *faircm_);
-  table_.ReadLock(Tx1(2), 0x20, *faircm_);
-  table_.ReleaseAllOf(1);
-  EXPECT_FALSE(table_.HasReader(0x10, 1));
-  EXPECT_FALSE(table_.HasReader(0x20, 1));
-  EXPECT_FALSE(table_.HasWriter(0x30, nullptr));
-  EXPECT_TRUE(table_.HasReader(0x20, 2));
-  EXPECT_TRUE(table_.CheckInvariants());
-}
-
 TEST_F(LockTableTest, EntriesErasedWhenFullyReleased) {
   table_.ReadLock(Tx1(1), 0x10, *faircm_);
   table_.WriteLock(Tx1(1), 0x10, *faircm_);
@@ -192,6 +179,26 @@ TEST_F(LockTableTest, TryAcquireManyMixedReadWriteGrants) {
   EXPECT_TRUE(table_.HasReader(0x20, 1));
   EXPECT_FALSE(table_.HasWriter(0x20, nullptr));
   EXPECT_TRUE(table_.HasWriter(0x30, nullptr));
+  EXPECT_TRUE(table_.CheckInvariants());
+}
+
+TEST_F(LockTableTest, TryAcquireManyHomogeneousSpanBeyondBitmapWidth) {
+  // The owner-local span has no wire bitmap, so an all-write request may
+  // exceed kMaxBatchEntries; the pass stays all-or-prefix and the bitmap
+  // saturates at 64 bits.
+  constexpr uint32_t kSpan = kMaxBatchEntries + 8;
+  std::vector<uint64_t> addrs;
+  for (uint32_t i = 0; i < kSpan; ++i) {
+    addrs.push_back(0x1000 + 8 * uint64_t{i});
+  }
+  ASSERT_EQ(table_.WriteLock(Tx1(2), addrs[kSpan - 2], *nocm_).refused, ConflictKind::kNone);
+  const BatchAcquireResult r =
+      table_.TryAcquireMany(Tx1(1), addrs.data(), kSpan, ~uint64_t{0}, *nocm_);
+  EXPECT_EQ(r.granted_count, kSpan - 2);
+  EXPECT_EQ(r.granted_bitmap, ~uint64_t{0});
+  EXPECT_EQ(r.refused, ConflictKind::kWriteAfterWrite);
+  EXPECT_TRUE(table_.HasWriter(addrs[kSpan - 3], nullptr));
+  EXPECT_FALSE(table_.HasWriter(addrs[kSpan - 1], nullptr));
   EXPECT_TRUE(table_.CheckInvariants());
 }
 

@@ -4,6 +4,9 @@
 
 #include "src/tm/dtm_service.h"
 
+#include <map>
+#include <string>
+
 #include "src/runtime/sim_system.h"
 #include "src/tm/address_map.h"
 
@@ -34,18 +37,46 @@ class ServiceHarness {
   DtmService& service() { return *service_; }
   SimSystem& sys() { return *sys_; }
 
-  static Message ReadReq(uint64_t addr, uint64_t epoch, uint64_t metric = 0) {
+  // A lone acquisition: a one-entry kBatchAcquire carrying its stripe in
+  // w3 (five words on the wire), with request id `id`.
+  static Message ReadReq(uint64_t addr, uint64_t epoch, uint64_t metric = 0, uint64_t id = 0) {
     Message m;
-    m.type = MsgType::kReadLockReq;
-    m.w0 = addr;
+    m.type = MsgType::kBatchAcquire;
+    m.w0 = id << kBatchReqIdShift;
     m.w1 = epoch;
     m.w2 = metric;
+    m.w3 = addr;
     return m;
   }
-  static Message WriteReq(uint64_t addr, uint64_t epoch, uint64_t metric = 0) {
-    Message m = ReadReq(addr, epoch, metric);
-    m.type = MsgType::kWriteLockReq;
+  static Message WriteReq(uint64_t addr, uint64_t epoch, uint64_t metric = 0, uint64_t id = 0) {
+    Message m = ReadReq(addr, epoch, metric, id);
+    m.w0 |= kBatchFlagWrite;
     return m;
+  }
+  // A commit-phase write acquisition (not revocable by a migration drain,
+  // exempt from admission control).
+  static Message CommitWriteReq(uint64_t addr, uint64_t epoch, uint64_t id = 0) {
+    Message m = WriteReq(addr, epoch, /*metric=*/0, id);
+    m.w0 |= kBatchFlagCommit;
+    return m;
+  }
+  // A multi-entry acquisition: the stripes travel as the address list.
+  static Message BatchReq(std::vector<uint64_t> addrs, uint64_t epoch, bool is_write) {
+    Message m;
+    m.type = MsgType::kBatchAcquire;
+    m.w0 = is_write ? kBatchFlagWrite : 0;
+    m.w1 = epoch;
+    m.extra = std::move(addrs);
+    return m;
+  }
+  // Reply classification: fully granted, or refused (with its kind in w2).
+  static bool Granted(const Message& rsp) {
+    return rsp.type == MsgType::kBatchReply &&
+           static_cast<ConflictKind>(rsp.w2) == ConflictKind::kNone;
+  }
+  static bool Refused(const Message& rsp) {
+    return rsp.type == MsgType::kBatchReply &&
+           static_cast<ConflictKind>(rsp.w2) != ConflictKind::kNone;
   }
 
  private:
@@ -70,14 +101,15 @@ TEST(DtmService, EchoRespondsImmediately) {
 TEST(DtmService, GrantsFreeLocksAndEchoesEpoch) {
   ServiceHarness h;
   h.RunClient([](CoreEnv& env) {
-    env.Send(0, ServiceHarness::ReadReq(0x100, 11));
+    env.Send(0, ServiceHarness::ReadReq(0x100, 11, /*metric=*/0, /*id=*/5));
     Message rsp = env.Recv();
-    ASSERT_EQ(rsp.type, MsgType::kLockGranted);
-    EXPECT_EQ(rsp.w0, 0x100u);
+    ASSERT_TRUE(ServiceHarness::Granted(rsp));
+    EXPECT_EQ(rsp.w0, PrefixBitmap(1));
     EXPECT_EQ(rsp.w1, 11u);
+    EXPECT_EQ(rsp.w3, (uint64_t{5} << kBatchReqIdShift) | 1);  // id echoed, one granted
     env.Send(0, ServiceHarness::WriteReq(0x100, 11));
     rsp = env.Recv();
-    ASSERT_EQ(rsp.type, MsgType::kLockGranted);  // own-lock upgrade
+    ASSERT_TRUE(ServiceHarness::Granted(rsp));  // own-lock upgrade
   });
   EXPECT_TRUE(h.service().lock_table().HasReader(0x100, 1));
   EXPECT_TRUE(h.service().lock_table().HasWriter(0x100, nullptr));
@@ -93,7 +125,7 @@ TEST(DtmService, ConflictResponseCarriesKind) {
     (void)env.Recv();  // granted
     // Second client (core 2) not used; reuse core 1 with a different
     // epoch — but the same core never conflicts with itself, so drive the
-    // conflict through a direct HandleLocal-style message from core 2.
+    // conflict through a message from core 2.
     env.Send(0, ServiceHarness::ReadReq(0x200, 2));
     const Message rsp = env.Recv();
     kind = static_cast<ConflictKind>(rsp.w2);
@@ -116,7 +148,8 @@ TEST(DtmService, ForeignConflictRefusedWithKind) {
     env.Compute(1000000);  // let core 2 acquire first
     env.Send(0, ServiceHarness::ReadReq(0x300, 11));
     const Message rsp = env.Recv();
-    ASSERT_EQ(rsp.type, MsgType::kLockConflict);
+    ASSERT_TRUE(ServiceHarness::Refused(rsp));
+    EXPECT_EQ(rsp.w0, 0u);
     kind = static_cast<ConflictKind>(rsp.w2);
   });
   EXPECT_EQ(kind, ConflictKind::kReadAfterWrite);
@@ -146,9 +179,9 @@ TEST(DtmService, RevocationNotifiesVictimOnce) {
   h.RunClient([](CoreEnv& env) {
     env.Compute(2000000);  // let the victim acquire first
     env.Send(0, ServiceHarness::WriteReq(0x400, 7, /*metric=*/1));
-    ASSERT_EQ(env.Recv().type, MsgType::kLockGranted);
+    ASSERT_TRUE(ServiceHarness::Granted(env.Recv()));
     env.Send(0, ServiceHarness::WriteReq(0x408, 7, /*metric=*/1));
-    ASSERT_EQ(env.Recv().type, MsgType::kLockGranted);
+    ASSERT_TRUE(ServiceHarness::Granted(env.Recv()));
   });
   EXPECT_EQ(notifies, 1);
 }
@@ -168,11 +201,8 @@ TEST(DtmService, StaleEpochRequestsRefused) {
     env.Send(0, ServiceHarness::ReadReq(0x508, 42, 100));
     for (;;) {
       const Message m = env.Recv();
-      if (m.type == MsgType::kLockConflict) {
-        second_refused = true;
-        return;
-      }
-      if (m.type == MsgType::kLockGranted) {
+      if (m.type == MsgType::kBatchReply) {
+        second_refused = ServiceHarness::Refused(m);
         return;
       }
     }
@@ -180,7 +210,7 @@ TEST(DtmService, StaleEpochRequestsRefused) {
   h.RunClient([](CoreEnv& env) {
     env.Compute(2000000);
     env.Send(0, ServiceHarness::WriteReq(0x500, 7, 1));  // revokes core 2
-    ASSERT_EQ(env.Recv().type, MsgType::kLockGranted);
+    ASSERT_TRUE(ServiceHarness::Granted(env.Recv()));
   });
   EXPECT_TRUE(second_refused);
   EXPECT_GT(h.service().stats().stale_requests_refused, 0u);
@@ -199,12 +229,7 @@ TEST(DtmService, BatchPrefixGrantStopsAtConflict) {
   });
   h.RunClient([](CoreEnv& env) {
     env.Compute(1000000);
-    Message batch;
-    batch.type = MsgType::kBatchAcquire;
-    batch.w1 = 11;
-    batch.w3 = PrefixBitmap(3);  // all three entries want the write lock
-    batch.extra = {0x600, 0x608, 0x610};
-    env.Send(0, std::move(batch));
+    env.Send(0, ServiceHarness::BatchReq({0x600, 0x608, 0x610}, 11, /*is_write=*/true));
     const Message rsp = env.Recv();
     ASSERT_EQ(rsp.type, MsgType::kBatchReply);
     EXPECT_EQ(rsp.w0, PrefixBitmap(2));  // grant bitmap: entries 0 and 1
@@ -219,43 +244,32 @@ TEST(DtmService, BatchPrefixGrantStopsAtConflict) {
   EXPECT_EQ(writer, 2u);  // the holder was untouched
 }
 
-TEST(DtmService, BatchMixedReadWriteFullyGranted) {
+TEST(DtmService, BatchWriteAndReadRequestsFullyGranted) {
   ServiceHarness h;
   h.RunClient([](CoreEnv& env) {
-    Message batch;
-    batch.type = MsgType::kBatchAcquire;
-    batch.w1 = 11;
-    batch.w3 = 0b101;  // entries 0 and 2 write, entry 1 read
-    batch.extra = {0x700, 0x708, 0x710};
-    env.Send(0, std::move(batch));
-    const Message rsp = env.Recv();
+    env.Send(0, ServiceHarness::BatchReq({0x700, 0x710}, 11, /*is_write=*/true));
+    Message rsp = env.Recv();
     ASSERT_EQ(rsp.type, MsgType::kBatchReply);
+    EXPECT_EQ(rsp.w0, PrefixBitmap(2));
+    EXPECT_EQ(rsp.w3, 2u);
+    EXPECT_EQ(static_cast<ConflictKind>(rsp.w2), ConflictKind::kNone);
+    env.Send(0, ServiceHarness::BatchReq({0x708, 0x718, 0x720}, 11, /*is_write=*/false));
+    rsp = env.Recv();
     EXPECT_EQ(rsp.w0, PrefixBitmap(3));
     EXPECT_EQ(rsp.w3, 3u);
-    EXPECT_EQ(static_cast<ConflictKind>(rsp.w2), ConflictKind::kNone);
+    // A one-entry request is served by the same pipeline but is not a
+    // multi-entry batch.
+    env.Send(0, ServiceHarness::ReadReq(0x728, 11));
+    ASSERT_TRUE(ServiceHarness::Granted(env.Recv()));
   });
   EXPECT_TRUE(h.service().lock_table().HasWriter(0x700, nullptr));
   EXPECT_TRUE(h.service().lock_table().HasReader(0x708, 1));
   EXPECT_FALSE(h.service().lock_table().HasWriter(0x708, nullptr));
   EXPECT_TRUE(h.service().lock_table().HasWriter(0x710, nullptr));
-  EXPECT_EQ(h.service().stats().batch_requests, 1u);
-  EXPECT_EQ(h.service().stats().batch_entries, 3u);
-}
-
-TEST(DtmService, BatchEmptyIsTriviallyGranted) {
-  ServiceHarness h;
-  h.RunClient([](CoreEnv& env) {
-    Message batch;
-    batch.type = MsgType::kBatchAcquire;
-    batch.w1 = 11;
-    env.Send(0, std::move(batch));
-    const Message rsp = env.Recv();
-    ASSERT_EQ(rsp.type, MsgType::kBatchReply);
-    EXPECT_EQ(rsp.w0, 0u);
-    EXPECT_EQ(rsp.w3, 0u);
-    EXPECT_EQ(static_cast<ConflictKind>(rsp.w2), ConflictKind::kNone);
-  });
-  EXPECT_EQ(h.service().lock_table().NumEntries(), 0u);
+  EXPECT_TRUE(h.service().lock_table().HasReader(0x728, 1));
+  EXPECT_EQ(h.service().stats().requests, 3u);
+  EXPECT_EQ(h.service().stats().batch_requests, 2u);
+  EXPECT_EQ(h.service().stats().batch_entries, 5u);
 }
 
 TEST(DtmService, BatchStaleEpochRefusedWhole) {
@@ -268,12 +282,7 @@ TEST(DtmService, BatchStaleEpochRefusedWhole) {
     env.Send(0, ServiceHarness::ReadReq(0xA00, 42, /*metric=*/100));
     (void)env.Recv();
     env.Compute(4000000);  // revoked meanwhile
-    Message batch;
-    batch.type = MsgType::kBatchAcquire;
-    batch.w1 = 42;
-    batch.w3 = PrefixBitmap(2);
-    batch.extra = {0xA08, 0xA10};
-    env.Send(0, std::move(batch));
+    env.Send(0, ServiceHarness::BatchReq({0xA08, 0xA10}, 42, /*is_write=*/true));
     for (;;) {
       const Message m = env.Recv();
       if (m.type == MsgType::kBatchReply) {
@@ -287,7 +296,7 @@ TEST(DtmService, BatchStaleEpochRefusedWhole) {
   h.RunClient([](CoreEnv& env) {
     env.Compute(2000000);
     env.Send(0, ServiceHarness::WriteReq(0xA00, 7, /*metric=*/1));  // revokes core 2
-    ASSERT_EQ(env.Recv().type, MsgType::kLockGranted);
+    ASSERT_TRUE(ServiceHarness::Granted(env.Recv()));
   });
   EXPECT_GT(h.service().stats().stale_requests_refused, 0u);
   EXPECT_FALSE(h.service().lock_table().HasWriter(0xA08, nullptr));
@@ -318,12 +327,7 @@ TEST(DtmService, BatchMisroutedEntryTerminatesPrefix) {
     (map.ResponsibleCore(addr) == 0 ? own : foreign) = addr;
   }
   sys.SetCoreMain(1, [own, foreign](CoreEnv& env) {
-    Message batch;
-    batch.type = MsgType::kBatchAcquire;
-    batch.w1 = 5;
-    batch.w3 = PrefixBitmap(3);
-    batch.extra = {own, foreign, own};
-    env.Send(0, std::move(batch));
+    env.Send(0, ServiceHarness::BatchReq({own, foreign, own}, 5, /*is_write=*/true));
     const Message rsp = env.Recv();
     ASSERT_EQ(rsp.type, MsgType::kBatchReply);
     EXPECT_EQ(rsp.w0, PrefixBitmap(1));  // only the leading owned entry
@@ -374,7 +378,7 @@ TEST(DtmServiceMigration, DrainRevokesHoldersAndFlipsOwnership) {
   Message update;
   f.sys->SetCoreMain(1, [&](CoreEnv& env) {
     env.Send(0, ServiceHarness::ReadReq(0x1000, 7, /*metric=*/100));
-    ASSERT_EQ(env.Recv().type, MsgType::kLockGranted);
+    ASSERT_TRUE(ServiceHarness::Granted(env.Recv()));
     env.Send(0, MigrationFixture::MigrateReq(0x1000, 0x100, 1));
     // The drain revokes our revocable read lock through the CM path...
     Message m = env.Recv();
@@ -387,7 +391,7 @@ TEST(DtmServiceMigration, DrainRevokesHoldersAndFlipsOwnership) {
     // A request still routed to the old owner is refused whole, retryably.
     env.Send(0, ServiceHarness::ReadReq(0x1040, 9));
     m = env.Recv();
-    ASSERT_EQ(m.type, MsgType::kLockConflict);
+    ASSERT_TRUE(ServiceHarness::Refused(m));
     stale_route_kind = static_cast<ConflictKind>(m.w2);
   });
   f.sys->Run(MillisToSim(1000));
@@ -410,16 +414,14 @@ TEST(DtmServiceMigration, CommittingWriterHoldsTheWindowOpenUntilRelease) {
   ConflictKind refused_kind = ConflictKind::kNone;
   bool refused_while_draining = false;
   f.sys->SetCoreMain(1, [&](CoreEnv& env) {
-    // A commit-phase write lock (w3 != 0) is not revocable by the drain.
-    Message commit_write = ServiceHarness::WriteReq(0x1000, 7);
-    commit_write.w3 = 1;
-    env.Send(0, std::move(commit_write));
-    ASSERT_EQ(env.Recv().type, MsgType::kLockGranted);
+    // A commit-phase write lock is not revocable by the drain.
+    env.Send(0, ServiceHarness::CommitWriteReq(0x1000, 7));
+    ASSERT_TRUE(ServiceHarness::Granted(env.Recv()));
     env.Send(0, MigrationFixture::MigrateReq(0x1000, 0x100, 1));
     // While the window is open, new acquires in the range are refused.
     env.Send(0, ServiceHarness::ReadReq(0x1080, 9));
     const Message m = env.Recv();
-    refused_while_draining = m.type == MsgType::kLockConflict;
+    refused_while_draining = ServiceHarness::Refused(m);
     refused_kind = static_cast<ConflictKind>(m.w2);
     // The committing writer's release closes the window.
     Message rel;
@@ -446,11 +448,240 @@ TEST(DtmServiceMigration, StaleAndNonsenseMigrateRequestsIgnored) {
     env.Send(0, MigrationFixture::MigrateReq(0x1000, 0x100, 9));
     // The range must still be owned and servable afterwards.
     env.Send(0, ServiceHarness::ReadReq(0x1000, 5));
-    ASSERT_EQ(env.Recv().type, MsgType::kLockGranted);
+    ASSERT_TRUE(ServiceHarness::Granted(env.Recv()));
   });
   f.sys->Run(MillisToSim(1000));
   EXPECT_EQ(f.service->stats().migrations_started, 0u);
   EXPECT_EQ(f.map->PartitionOf(0x1000), 0u);
+}
+
+// One admission pipeline behind every transport: the same scenario run as
+// one-entry wire requests, multi-entry wire requests and owner-local spans
+// must meet the same refusals in the same order — stale epoch, then
+// overload (inbox transports only), then misroute, then the drain window —
+// with the same grants and the same victims.
+enum class Transport { kOneEntryWire, kMultiEntryWire, kOwnerLocalSpan };
+
+struct AdmissionOutcome {
+  bool all_granted = false;
+  uint32_t granted = 0;
+  ConflictKind refused = ConflictKind::kNone;
+  // Counter deltas across the request.
+  uint64_t stale = 0;
+  uint64_t overload = 0;
+  uint64_t misrouted = 0;
+  uint64_t migrating = 0;
+  uint64_t notifications = 0;
+};
+
+// Serves one request through `transport` on the service's own core. The
+// wire transports go through HandleLocal, the same decode-and-admit path
+// as an inbox message; the span calls Admit directly.
+AdmissionOutcome Request(DtmService& svc, Transport transport, uint64_t epoch, uint64_t metric,
+                         const std::vector<uint64_t>& addrs, bool is_write,
+                         bool committing = false) {
+  const DtmServiceStats before = svc.stats();
+  AdmissionOutcome out;
+  if (transport == Transport::kOwnerLocalSpan) {
+    DtmService::AdmitRequest request;
+    request.core = 0;
+    request.epoch = epoch;
+    request.metric_wire = metric;
+    request.addrs = addrs.data();
+    request.n = static_cast<uint32_t>(addrs.size());
+    request.is_write = is_write;
+    request.committing = committing;
+    request.direct = true;
+    const DtmService::AdmitResult result = svc.Admit(request);
+    out.granted = result.granted;
+    out.refused = result.refused;
+  } else {
+    Message m = ServiceHarness::BatchReq(addrs, epoch, /*is_write=*/false);
+    if (transport == Transport::kOneEntryWire) {
+      EXPECT_EQ(addrs.size(), 1u);
+      m = ServiceHarness::ReadReq(addrs[0], epoch);
+    }
+    m.w2 = metric;
+    m.w0 |= (is_write ? kBatchFlagWrite : 0) | (committing ? kBatchFlagCommit : 0);
+    m.src = 0;
+    const Message rsp = svc.HandleLocal(m);
+    EXPECT_EQ(rsp.w0, PrefixBitmap(static_cast<uint32_t>(rsp.w3 & kBatchReqIdMask)));
+    out.granted = static_cast<uint32_t>(rsp.w3 & kBatchReqIdMask);
+    out.refused = static_cast<ConflictKind>(rsp.w2);
+  }
+  out.all_granted = out.granted == addrs.size();
+  const DtmServiceStats& after = svc.stats();
+  out.stale = after.stale_requests_refused - before.stale_requests_refused;
+  out.overload = after.overload_refused - before.overload_refused;
+  out.misrouted = after.misrouted_refused - before.misrouted_refused;
+  out.migrating = after.migrating_refused - before.migrating_refused;
+  out.notifications = after.notifications_sent - before.notifications_sent;
+  return out;
+}
+
+struct AdmissionRun {
+  std::vector<std::pair<std::string, AdmissionOutcome>> outcomes;
+  uint64_t victim_status = 0;
+  std::vector<uint64_t> local_aborts;
+};
+
+AdmissionRun RunAdmissionScenario(Transport transport) {
+  SimSystemConfig cfg;
+  cfg.platform = MakeSccPlatform(0);
+  cfg.num_cores = 4;
+  cfg.num_service = 2;  // service cores 0 and 2
+  cfg.shmem_bytes = 1 << 20;
+  cfg.seed = 3;
+  SimSystem sys(cfg);
+  TmConfig tm;
+  tm.cm = CmKind::kFairCm;  // lower metric wins
+  tm.overload_high_water = 2;
+  tm.abort_status_base = 0x80000;
+  AddressMap map(sys.deployment(), tm.stripe_bytes);
+  map.AddOwnedRange(0x1000, 0x100, 0);
+  DtmService svc(sys.env(0), tm, &map);
+  AdmissionRun run;
+  svc.SetLocalAbortSink(
+      [&run](uint64_t epoch, ConflictKind) { run.local_aborts.push_back(epoch); });
+
+  // Stripes this partition owns outside the migratable range, and one the
+  // other partition owns.
+  std::vector<uint64_t> own;
+  uint64_t foreign = 0;
+  for (uint64_t addr = 0x4000; own.size() < 16 || foreign == 0; addr += 8) {
+    if (map.ResponsibleCore(addr) == 0) {
+      own.push_back(addr);
+    } else if (foreign == 0) {
+      foreign = addr;
+    }
+  }
+  const bool listed = transport != Transport::kOneEntryWire;
+  size_t next_free = 8;
+  // The scenario's stripe, plus a free trailing one for the list transports.
+  auto entries = [&](uint64_t stripe) {
+    std::vector<uint64_t> addrs{stripe};
+    if (listed) {
+      addrs.push_back(own[next_free++]);
+    }
+    return addrs;
+  };
+  auto setup = [&svc](uint32_t core, uint64_t epoch, uint64_t metric, uint64_t stripe,
+                      uint64_t flags) {
+    Message m = ServiceHarness::ReadReq(stripe, epoch, metric);
+    m.w0 |= flags;
+    m.src = core;
+    EXPECT_TRUE(ServiceHarness::Granted(svc.HandleLocal(m)));
+  };
+  constexpr uint64_t kVictimEpoch = (uint64_t{1} << 32) | 1;
+  constexpr uint64_t kRevokedEpoch = 1;  // core 0's attempt the setup revokes
+
+  sys.SetCoreMain(0, [&](CoreEnv& env) {
+    // Setup, no backlog: core 1 reads own[0] with a worse metric (the
+    // victim-to-be); core 0 reads own[1] under kRevokedEpoch and core 1's
+    // better-metric write revokes it; core 1's commit-phase write keeps
+    // [0x1000, +0x100)'s drain window open once migration begins.
+    setup(1, kVictimEpoch, 100, own[0], 0);
+    setup(0, kRevokedEpoch, 100, own[1], 0);
+    setup(1, kVictimEpoch + 1, 1, own[1], kBatchFlagWrite);
+    setup(1, kVictimEpoch + 1, 1, 0x1000, kBatchFlagWrite | kBatchFlagCommit);
+    svc.BeginMigration(0x1000, 0x100, 1);
+
+    run.outcomes.emplace_back("grant revokes a victim",
+                              Request(svc, transport, 2, 1, entries(own[0]), true));
+    run.outcomes.emplace_back("misroute", Request(svc, transport, 3, 1, entries(foreign), false));
+    run.outcomes.emplace_back("draining", Request(svc, transport, 4, 1, entries(0x1040), false));
+    if (listed) {
+      // Within one request the prefix stops at whichever cut comes first.
+      run.outcomes.emplace_back("misroute before draining",
+                                Request(svc, transport, 5, 1, {own[2], foreign, 0x1048}, false));
+      run.outcomes.emplace_back("draining before misroute",
+                                Request(svc, transport, 6, 1, {own[3], 0x1050, foreign}, false));
+    }
+
+    // Backlog above the high-water mark (core 3's echoes, queued unserved).
+    while (env.InboxDepth() <= tm.overload_high_water) {
+      env.Compute(1000);
+    }
+    run.outcomes.emplace_back("stale beats overload",
+                              Request(svc, transport, kRevokedEpoch, 1, entries(own[4]), false));
+    run.outcomes.emplace_back("overload", Request(svc, transport, 7, 1, entries(own[5]), false));
+    run.outcomes.emplace_back("committer admitted under backlog",
+                              Request(svc, transport, 8, 1, entries(own[6]), true, true));
+    Message drop;
+    while (env.TryRecv(&drop)) {
+    }
+  });
+  sys.SetCoreMain(3, [](CoreEnv& env) {
+    env.Compute(2000000);  // well after the no-backlog phase
+    for (int i = 0; i < 6; ++i) {
+      Message echo;
+      echo.type = MsgType::kEcho;
+      env.Send(0, std::move(echo));
+    }
+  });
+  sys.Run(MillisToSim(1000));
+  run.victim_status = sys.shmem().LoadWord(tm.abort_status_base + 1 * kWordBytes);
+  return run;
+}
+
+TEST(DtmServiceAdmission, EveryTransportMeetsTheSameRefusalsInTheSameOrder) {
+  auto outcome = [](bool all, ConflictKind refused) {
+    AdmissionOutcome o;
+    o.all_granted = all;
+    o.refused = refused;
+    return o;
+  };
+  for (const Transport transport :
+       {Transport::kOneEntryWire, Transport::kMultiEntryWire, Transport::kOwnerLocalSpan}) {
+    const bool listed = transport != Transport::kOneEntryWire;
+    const uint32_t n = listed ? 2 : 1;
+    std::map<std::string, AdmissionOutcome> want;
+    want["grant revokes a victim"] = outcome(true, ConflictKind::kNone);
+    want["grant revokes a victim"].granted = n;
+    want["grant revokes a victim"].notifications = 1;
+    want["misroute"] = outcome(false, ConflictKind::kMigrating);
+    want["misroute"].misrouted = 1;
+    want["draining"] = outcome(false, ConflictKind::kMigrating);
+    want["draining"].migrating = 1;
+    if (listed) {
+      want["misroute before draining"] = outcome(false, ConflictKind::kMigrating);
+      want["misroute before draining"].granted = 1;
+      want["misroute before draining"].misrouted = 1;
+      want["draining before misroute"] = outcome(false, ConflictKind::kMigrating);
+      want["draining before misroute"].granted = 1;
+      want["draining before misroute"].migrating = 1;
+    }
+    want["stale beats overload"] = outcome(false, ConflictKind::kWriteAfterRead);
+    want["stale beats overload"].stale = 1;
+    if (transport == Transport::kOwnerLocalSpan) {
+      want["overload"] = outcome(true, ConflictKind::kNone);  // never queued: no shedding
+      want["overload"].granted = n;
+    } else {
+      want["overload"] = outcome(false, ConflictKind::kOverload);
+      want["overload"].overload = 1;
+    }
+    want["committer admitted under backlog"] = outcome(true, ConflictKind::kNone);
+    want["committer admitted under backlog"].granted = n;
+
+    const AdmissionRun run = RunAdmissionScenario(transport);
+    ASSERT_EQ(run.outcomes.size(), want.size());
+    for (const auto& [name, got] : run.outcomes) {
+      SCOPED_TRACE(name + " (transport " + std::to_string(static_cast<int>(transport)) + ")");
+      const AdmissionOutcome& expected = want[name];
+      EXPECT_EQ(got.all_granted, expected.all_granted);
+      EXPECT_EQ(got.granted, expected.granted);
+      EXPECT_EQ(ConflictKindName(got.refused), std::string(ConflictKindName(expected.refused)));
+      EXPECT_EQ(got.stale, expected.stale);
+      EXPECT_EQ(got.overload, expected.overload);
+      EXPECT_EQ(got.misrouted, expected.misrouted);
+      EXPECT_EQ(got.migrating, expected.migrating);
+      EXPECT_EQ(got.notifications, expected.notifications);
+    }
+    // The same victims: core 1's revoked read (published to its status
+    // word) and, from the setup, core 0's own attempt via the local sink.
+    EXPECT_EQ(run.victim_status, (uint64_t{1} << 32) | 1);
+    EXPECT_EQ(run.local_aborts, std::vector<uint64_t>{1});
+  }
 }
 
 TEST(DtmService, OverloadRefusesNonCommittingAcquiresAboveHighWater) {
@@ -461,7 +692,7 @@ TEST(DtmService, OverloadRefusesNonCommittingAcquiresAboveHighWater) {
   uint64_t grants = 0;
   bool committing_granted = false;
   h.RunClient([&](CoreEnv& env) {
-    // Flood the service: six scalar read acquires queued back-to-back. The
+    // Flood the service: six one-entry read acquires queued back-to-back. The
     // service sees the first with five still queued behind it (> high
     // water), so leading requests are shed with kOverload; as the backlog
     // drains below the mark, grants resume.
@@ -470,16 +701,13 @@ TEST(DtmService, OverloadRefusesNonCommittingAcquiresAboveHighWater) {
     }
     // A commit-phase write acquire is exempt: shedding a committer that
     // already holds its read set would only prolong the backlog.
-    Message commit_write = ServiceHarness::WriteReq(0x900, 5);
-    commit_write.w3 = 1;
-    env.Send(0, std::move(commit_write));
+    env.Send(0, ServiceHarness::CommitWriteReq(0x900, 5, /*id=*/99));
     for (uint64_t i = 0; i < 7; ++i) {
       const Message m = env.Recv();
-      if (m.type == MsgType::kLockGranted) {
+      if (ServiceHarness::Granted(m)) {
         ++grants;
-        committing_granted = committing_granted || m.w0 == 0x900;
-      } else if (m.type == MsgType::kLockConflict &&
-                 static_cast<ConflictKind>(m.w2) == ConflictKind::kOverload) {
+        committing_granted = committing_granted || (m.w3 >> kBatchReqIdShift) == 99;
+      } else if (static_cast<ConflictKind>(m.w2) == ConflictKind::kOverload) {
         ++overload_refusals;
       }
     }
@@ -497,12 +725,7 @@ TEST(DtmService, ReleaseAllDrainsLocks) {
     (void)env.Recv();
     env.Send(0, ServiceHarness::ReadReq(0x808, 5));
     (void)env.Recv();
-    Message wb;
-    wb.type = MsgType::kBatchAcquire;
-    wb.w1 = 5;
-    wb.w3 = PrefixBitmap(1);
-    wb.extra = {0x810};
-    env.Send(0, std::move(wb));
+    env.Send(0, ServiceHarness::BatchReq({0x810}, 5, /*is_write=*/true));
     (void)env.Recv();
 
     Message rel_reads;

@@ -442,7 +442,7 @@ TEST(TmMigration, PolicyMovesHotRangeAndLeavesColdOneAlone) {
 }
 
 TEST(TmFastPath, StaleRefusalAccountingParityWithWirePath) {
-  // The owner-local fast path (AcquireSpanDirect) must account a request
+  // The owner-local fast path (a direct DtmService::Admit) must account a request
   // from an already-revoked attempt exactly like the wire path does:
   // counted as stale_requests_refused, refused with the original conflict
   // kind. Same multitasked hot-counter workload, fast path off then on:

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "src/runtime/thread_system.h"
+#include "src/shmem/abort_status.h"
 #include "src/tm/dtm_service.h"
 #include "src/tm/tx_runtime.h"
 
@@ -151,6 +154,89 @@ TEST(ThreadTm, ScansSeeConsistentPairs) {
   });
   h.sys->RunToCompletion();
   EXPECT_FALSE(violation.load());
+}
+
+// The lost update a revocation could cause on real threads: a committer
+// past its abort-status check but not yet done storing its write set is
+// revoked, the winner is granted the lock and reads the old value. The
+// committer holds its status word at the persisting marker for exactly
+// that window; the service must wait it out before the grant is sent, and
+// then publish the victim's epoch.
+TEST(ThreadTmLostUpdate, RevocationWaitsOutAPersistInProgress) {
+  ThreadSystemConfig cfg;
+  cfg.platform = MakeOpteronPlatform();
+  cfg.num_cores = 3;
+  cfg.num_service = 1;  // core 0
+  cfg.shmem_bytes = 1 << 16;
+  ThreadSystem sys(cfg);
+  TmConfig tm;
+  tm.cm = CmKind::kFairCm;  // lower metric wins
+  tm.abort_status_base = 0x1000;
+  constexpr uint32_t kVictim = 2;
+  constexpr uint64_t kStripe = 0x2000;
+  constexpr uint64_t kVictimEpoch = (uint64_t{kVictim} << 32) | 1;
+  const uint64_t status_addr = tm.abort_status_base + kVictim * kWordBytes;
+
+  auto acquire = [](uint64_t epoch, uint64_t metric, bool is_write) {
+    Message m;
+    m.type = MsgType::kBatchAcquire;
+    m.w0 = is_write ? kBatchFlagWrite : 0;
+    m.w1 = epoch;
+    m.w2 = metric;
+    m.w3 = kStripe;
+    return m;
+  };
+  std::atomic<int> phase{0};  // 1: victim in its persist window, 2: window closed
+  std::atomic<bool> granted_inside_window{false};
+  std::atomic<bool> granted{false};
+  std::atomic<uint32_t> running{2};
+  auto finish = [&]() {
+    if (running.fetch_sub(1) == 1) {
+      sys.SendShutdown(0);
+    }
+  };
+  sys.SetCoreMain(0, [&tm](CoreEnv& env) {
+    DtmService service(env, tm);
+    service.RunLoop();
+  });
+  sys.SetCoreMain(kVictim, [&](CoreEnv& env) {
+    env.Send(0, acquire(kVictimEpoch, /*metric=*/100, /*is_write=*/false));
+    EXPECT_EQ(static_cast<ConflictKind>(env.Recv().w2), ConflictKind::kNone);
+    uint64_t prior = 0;
+    ASSERT_TRUE(BeginPersist(env.shmem(), status_addr, kVictimEpoch, &prior));
+    phase.store(1);
+    while (phase.load() != 2) {
+      std::this_thread::yield();
+    }
+    EndPersist(env.shmem(), status_addr, prior);
+    finish();
+  });
+  sys.SetCoreMain(1, [&](CoreEnv& env) {
+    while (phase.load() != 1) {
+      std::this_thread::yield();
+    }
+    env.Send(0, acquire((uint64_t{1} << 32) | 1, /*metric=*/1, /*is_write=*/true));
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+    Message rsp;
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (env.TryRecv(&rsp)) {
+        granted_inside_window.store(true);
+        break;
+      }
+      std::this_thread::yield();
+    }
+    phase.store(2);
+    if (!granted_inside_window.load()) {
+      rsp = env.Recv();
+    }
+    granted.store(rsp.type == MsgType::kBatchReply &&
+                  static_cast<ConflictKind>(rsp.w2) == ConflictKind::kNone);
+    finish();
+  });
+  sys.RunToCompletion();
+  EXPECT_FALSE(granted_inside_window.load()) << "grant sent while the victim was persisting";
+  EXPECT_TRUE(granted.load());
+  EXPECT_EQ(sys.shmem().LoadWord(status_addr), kVictimEpoch);
 }
 
 }  // namespace

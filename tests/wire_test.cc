@@ -157,18 +157,40 @@ TEST(Wire, BitFlipAnywhereIsCaught) {
   }
 }
 
+// A lone acquisition is a one-entry kBatchAcquire with its stripe in w3:
+// five words, the size the modelled wire time of every unbatched request
+// has always been charged for, and it survives the codec as such.
+TEST(Wire, OneEntryAcquireIsFiveWords) {
+  Message m;
+  m.type = MsgType::kBatchAcquire;
+  m.src = 3;
+  m.w0 = kBatchFlagWrite | kBatchFlagCommit | (uint64_t{42} << kBatchReqIdShift);
+  m.w1 = (uint64_t{3} << 32) | 5;
+  m.w2 = 77;
+  m.w3 = 0x1238;
+  EXPECT_EQ(m.SizeWords(), 5u);
+  uint32_t dst = 0;
+  Message got;
+  uint64_t consumed = 0;
+  const std::vector<uint8_t> bytes = EncodeMessage(0, m);
+  ASSERT_EQ(DecodeFrame(bytes, &dst, &got, &consumed), WireDecodeStatus::kOk);
+  ExpectEqual(got, m);
+  EXPECT_EQ(got.SizeWords(), 5u);
+}
+
 // A bit-flipped frame in the middle of a stream poisons the decoder: the
 // prefix is delivered, nothing after the corruption is, and the decoder
 // stays kCorrupt (the connection-drop signal) instead of resyncing onto
 // garbage frame boundaries.
 TEST(Wire, CorruptionMidStreamPoisonsWithoutPartialApply) {
-  Message a;
-  a.type = MsgType::kLockGranted;
-  a.w0 = 0x100;
-  Message b;
-  b.type = MsgType::kLockConflict;
-  b.w0 = 0x108;
+  Message a;  // a granted one-entry acquisition
+  a.type = MsgType::kBatchReply;
+  a.w0 = PrefixBitmap(1);
+  a.w3 = (uint64_t{7} << kBatchReqIdShift) | 1;
+  Message b;  // a refused one
+  b.type = MsgType::kBatchReply;
   b.w2 = static_cast<uint64_t>(ConflictKind::kWriteAfterWrite);
+  b.w3 = uint64_t{8} << kBatchReqIdShift;
   std::vector<uint8_t> stream;
   EncodeFrame(1, a, &stream);
   const uint64_t second_frame_start = stream.size();

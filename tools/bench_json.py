@@ -15,12 +15,20 @@ threshold.
   tools/bench_json.py merge --out BENCH_results.json [--smoke] a.json b.json ...
   tools/bench_json.py validate BENCH_results.json
   tools/bench_json.py compare old.json new.json --max-regress=15
+  tools/bench_json.py identical old.json new.json
   tools/bench_json.py report BENCH_results.json --out docs/BENCHMARKS.md
 
 `report` renders a merged file into a markdown summary (the committed
 docs/BENCHMARKS.md): one row per bench with its best-throughput scenario on
 each backend. The output is deterministic for a given input, so CI can
 regenerate it and diff against the committed file as a freshness check.
+
+`identical` proves a change left the modelled behaviour alone: it keys
+every sim row by (bench, scenario) and prints each field that differs, plus
+rows only one file has; it exits 1 if it printed anything. Sim rows are
+deterministic, so a refactor that must not move behaviour shows zero
+differences. The `micro` bench is skipped: its rows time host code, not the
+model, and differ from run to run.
 
 `compare` gates sim rows only by default: they are deterministic, so any
 drift is a real code change. Native (threads and processes) rows are
@@ -301,6 +309,67 @@ def render_report(benches, source_name):
     return "\n".join(lines)
 
 
+# Benches whose rows are host-timed even on the sim backend.
+HOST_TIMED_BENCHES = ("micro",)
+
+
+def sim_rows(benches):
+    """Sim rows keyed by (bench, scenario); repeats get a #n suffix."""
+    rows = {}
+    for bench in benches:
+        if bench.get("backend", "sim") != "sim" or bench["bench"] in HOST_TIMED_BENCHES:
+            continue
+        for result in bench.get("results", []):
+            key = (bench["bench"], result["scenario"])
+            n = 1
+            while key in rows:
+                n += 1
+                key = (bench["bench"], f"{result['scenario']} #{n}")
+            rows[key] = result
+    return rows
+
+
+def flatten(value, prefix=""):
+    """Nested dicts as {"a.b": leaf}; lists and scalars are leaves."""
+    if not isinstance(value, dict):
+        return {prefix: value}
+    flat = {}
+    for k, v in value.items():
+        flat.update(flatten(v, f"{prefix}.{k}" if prefix else k))
+    return flat
+
+
+def row_differences(old_rows, new_rows):
+    """Lines describing every difference between two keyed row sets."""
+    lines = []
+    for key in sorted(old_rows.keys() | new_rows.keys()):
+        label = f"{key[0]} | {key[1]}"
+        if key not in new_rows:
+            lines.append(f"missing: {label}")
+            continue
+        if key not in old_rows:
+            lines.append(f"new: {label}")
+            continue
+        old, new = flatten(old_rows[key]), flatten(new_rows[key])
+        for field in sorted(old.keys() | new.keys()):
+            if old.get(field) != new.get(field):
+                lines.append(f"differs: {label} | {field}: {old.get(field)!r} -> "
+                             f"{new.get(field)!r}")
+    return lines
+
+
+def cmd_identical(args):
+    old_rows = sim_rows(load_benches(args.old))
+    new_rows = sim_rows(load_benches(args.new))
+    lines = row_differences(old_rows, new_rows)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} difference(s) across {len(old_rows)} old / {len(new_rows)} new "
+          f"sim rows (skipped: {', '.join(HOST_TIMED_BENCHES)})")
+    if lines:
+        sys.exit(1)
+
+
 def cmd_report(args):
     benches = load_benches(args.input)
     for bench in benches:
@@ -333,6 +402,10 @@ def main():
     compare.add_argument("--gate-native", action="store_true",
                          help="fail on wall-clock (threads/processes) regressions too")
     compare.set_defaults(fn=cmd_compare)
+    identical = sub.add_parser("identical")
+    identical.add_argument("old")
+    identical.add_argument("new")
+    identical.set_defaults(fn=cmd_identical)
     report = sub.add_parser("report")
     report.add_argument("input")
     report.add_argument("--out", help="output path (default: stdout)")

@@ -161,6 +161,67 @@ class CompareGateTest(unittest.TestCase):
             self._compare(old, new)
 
 
+class IdenticalTest(unittest.TestCase):
+    def _identical(self, old, new):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for name, benches in (("old.json", old), ("new.json", new)):
+                path = os.path.join(tmp, name)
+                with open(path, "w") as f:
+                    json.dump({"schema_version": bench_json.SCHEMA_VERSION,
+                               "benches": benches}, f)
+                paths.append(path)
+            out = io.StringIO()
+            code = 0
+            with contextlib.redirect_stdout(out):
+                try:
+                    bench_json.cmd_identical(argparse.Namespace(old=paths[0], new=paths[1]))
+                except SystemExit as e:
+                    code = e.code
+            return code, out.getvalue().splitlines()
+
+    def test_identical_rows_pass_silently(self):
+        rows = [bench("a", [row(10.0, platform="scc"), row(20.0, platform="opteron")])]
+        code, lines = self._identical(rows, rows)
+        self.assertEqual(code, 0)
+        self.assertEqual(len(lines), 1)
+        self.assertTrue(lines[0].startswith("0 difference(s)"))
+
+    def test_every_differing_field_is_named(self):
+        old = [bench("a", [row(10.0, platform="scc")])]
+        changed = row(12.0, platform="scc")
+        changed["latency_us"]["p99"] = 4.0
+        changed["extra"] = {"batch_msgs_per_op": 1.5}
+        code, lines = self._identical(old, [bench("a", [changed])])
+        self.assertEqual(code, 1)
+        fields = sorted(line.split(" | ")[2].split(":")[0] for line in lines[:-1])
+        self.assertEqual(fields, ["extra.batch_msgs_per_op", "latency_us.p99",
+                                  "throughput_ops_per_ms"])
+
+    def test_missing_and_new_rows_are_reported(self):
+        old = [bench("a", [row(10.0, platform="scc")])]
+        new = [bench("a", [row(10.0, platform="opteron")])]
+        code, lines = self._identical(old, new)
+        self.assertEqual(code, 1)
+        self.assertIn("missing: a | platform=scc", lines)
+        self.assertIn("new: a | platform=opteron", lines)
+
+    def test_micro_and_native_rows_are_skipped(self):
+        old = [bench("micro", [row(10.0)]), bench("a", [row(10.0)], backend="threads")]
+        new = [bench("micro", [row(99.0)]), bench("a", [row(99.0)], backend="threads")]
+        code, lines = self._identical(old, new)
+        self.assertEqual(code, 0)
+        self.assertIn("0 old / 0 new", lines[-1])
+
+    def test_repeated_scenarios_are_compared_in_order(self):
+        old = [bench("a", [row(10.0, platform="scc"), row(20.0, platform="scc")])]
+        new = [bench("a", [row(10.0, platform="scc"), row(21.0, platform="scc")])]
+        code, lines = self._identical(old, new)
+        self.assertEqual(code, 1)
+        self.assertEqual(len(lines), 2)
+        self.assertIn("platform=scc #2 | throughput_ops_per_ms", lines[0])
+
+
 class SchemaCheckTest(unittest.TestCase):
     def test_valid_document_passes(self):
         bench_json.check_bench(bench("ok", [row(1.0)]))
