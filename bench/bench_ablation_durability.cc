@@ -78,16 +78,11 @@ BenchRow RunPoint(BenchContext& ctx, const std::string& platform, DurabilityMode
                     &lat);
   sys.Run(spec.duration);
 
-  uint64_t commit_records = 0;
-  uint64_t log_flushes = 0;
-  for (uint32_t p = 0; p < sys.deployment().num_service(); ++p) {
-    commit_records += sys.ServiceAt(p).stats().commit_records;
-    log_flushes += sys.ServiceAt(p).stats().log_flushes;
-  }
+  const DtmServiceStats svc = sys.MergedServiceStats();
   const ThroughputResult r = Summarize(sys, spec.duration);
   point->ops_per_ms = r.ops_per_ms;
-  point->commit_records = commit_records;
-  point->log_flushes = log_flushes;
+  point->commit_records = svc.commit_records;
+  point->log_flushes = svc.log_flushes;
 
   BenchRow row;
   row.Param("platform", platform)
@@ -95,11 +90,11 @@ BenchRow RunPoint(BenchContext& ctx, const std::string& platform, DurabilityMode
       .Param("group_commit", uint64_t{group_commit})
       .Param("cores", uint64_t{spec.total_cores});
   row.TxMerged(r.stats, r.ops_per_ms, lat);
-  row.Extra("commit_records", static_cast<double>(commit_records));
-  row.Extra("log_flushes", static_cast<double>(log_flushes));
-  if (log_flushes > 0) {
+  row.Extra("commit_records", static_cast<double>(svc.commit_records));
+  row.Extra("log_flushes", static_cast<double>(svc.log_flushes));
+  if (svc.log_flushes > 0) {
     row.Extra("records_per_flush",
-              static_cast<double>(commit_records) / static_cast<double>(log_flushes));
+              static_cast<double>(svc.commit_records) / static_cast<double>(svc.log_flushes));
   }
   return row;
 }

@@ -134,11 +134,10 @@ BenchRow RunOne(BenchContext& ctx, bool elastic, PhasePoint* point) {
 
   point->pre_ops_per_ms = static_cast<double>(pre_ops) / pre_ms;
   point->post_ops_per_ms = static_cast<double>(post_ops) / post_ms;
-  for (uint32_t p = 0; p < sys.deployment().num_service(); ++p) {
-    point->migrations_completed += sys.ServiceAt(p).stats().migrations_completed;
-    point->overload_refused += sys.ServiceAt(p).stats().overload_refused;
-    point->migrating_refused += sys.ServiceAt(p).stats().migrating_refused;
-  }
+  const DtmServiceStats svc = sys.MergedServiceStats();
+  point->migrations_completed = svc.migrations_completed;
+  point->overload_refused = svc.overload_refused;
+  point->migrating_refused = svc.migrating_refused;
 
   BenchRow row;
   row.Param("policy", elastic ? "elastic" : "static")

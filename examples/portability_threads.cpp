@@ -72,11 +72,9 @@ int main(int argc, char** argv) {
   }
   system.RunToCompletion();
 
-  uint64_t total_commits = 0;
-  uint64_t total_aborts = 0;
+  TxStats total;
   for (const TxStats& s : stats) {
-    total_commits += s.commits;
-    total_aborts += s.aborts;
+    total.Merge(s);
   }
   const uint64_t expected = static_cast<uint64_t>(plan.num_app()) * increments;
   const uint64_t value = system.shmem().LoadWord(counter);
@@ -85,7 +83,7 @@ int main(int argc, char** argv) {
   std::printf("counter = %llu (expected %llu) -> %s\n", static_cast<unsigned long long>(value),
               static_cast<unsigned long long>(expected), value == expected ? "OK" : "WRONG");
   std::printf("commits = %llu, aborts = %llu (real concurrency, real races)\n",
-              static_cast<unsigned long long>(total_commits),
-              static_cast<unsigned long long>(total_aborts));
+              static_cast<unsigned long long>(total.commits),
+              static_cast<unsigned long long>(total.aborts));
   return value == expected ? 0 : 1;
 }

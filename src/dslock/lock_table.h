@@ -23,6 +23,7 @@
 
 #include "src/cm/contention_manager.h"
 #include "src/common/core_set.h"
+#include "src/common/counters.h"
 #include "src/runtime/message.h"
 
 namespace tm2c {
@@ -56,14 +57,18 @@ struct BatchAcquireResult {
   std::vector<Victim> victims;                 // across the whole prefix
 };
 
-// Counters for the service-side statistics the benches report.
+// Counters for the service-side statistics the benches report, one line
+// per counter: X(merge kind, type, name); see src/common/counters.h.
+#define TM2C_LOCK_TABLE_STATS_FIELDS(X) \
+  X(Sum, uint64_t, read_acquires)       \
+  X(Sum, uint64_t, write_acquires)      \
+  X(Sum, uint64_t, read_refused)        \
+  X(Sum, uint64_t, write_refused)       \
+  X(Sum, uint64_t, revocations)         \
+  X(Sum, uint64_t, releases)
+
 struct LockTableStats {
-  uint64_t read_acquires = 0;
-  uint64_t write_acquires = 0;
-  uint64_t read_refused = 0;
-  uint64_t write_refused = 0;
-  uint64_t revocations = 0;
-  uint64_t releases = 0;
+  TM2C_COUNTERS(LockTableStats, TM2C_LOCK_TABLE_STATS_FIELDS)
 };
 
 class LockTable {

@@ -70,7 +70,8 @@ enum class MsgType : uint8_t {
   kTraceWalTruncate,    // restart recovery: w0=records remaining,
                         // w1=valid bytes of the reopened log
   kHostStats,           // partition exit report: extra=[lock table entries,
-                        // DtmServiceStats fields...] (see process_system.cc)
+                        // DtmServiceStats fields in list order] (see
+                        // EncodeExitReport in src/tm/tm_system.h)
 };
 
 // Acquire protocol (one request/response round trip per request; a

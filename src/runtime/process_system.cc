@@ -19,25 +19,10 @@
 namespace tm2c {
 namespace {
 
-SimTime HostNowPs() {
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now().time_since_epoch())
-                      .count();
-  return static_cast<SimTime>(ns) * kPicosPerNano;
-}
-
-// Same nanosecond-scale busy wait as the thread backend, always in its
-// oversubscribed flavour: app threads, router threads and the partition
-// server processes together far exceed the host CPUs.
-void ComputeSpin(const PlatformDesc& platform, uint64_t core_cycles) {
-  const SimTime deadline = HostNowPs() + platform.CoreCyclesToPs(core_cycles);
-  const SimTime spin_until = HostNowPs() + kPicosPerMicro;
-  while (HostNowPs() < deadline) {
-    if (HostNowPs() >= spin_until) {
-      std::this_thread::yield();
-    }
-  }
-}
+// Compute always spins in its oversubscribed flavour here: app threads,
+// router threads and the partition server processes together far exceed
+// the host CPUs.
+constexpr bool kOversubscribed = true;
 
 // Streams a whole buffer into a socket. Failures (EPIPE against a killed
 // server) are deliberately swallowed: every message that must survive a
@@ -114,32 +99,15 @@ class ProcessSystem::AppCore : public CoreEnv {
     sys_->DeliverToApp(dst, std::move(msg));
   }
 
-  Message Recv() override {
-    std::unique_lock<std::mutex> lock(inbox_mu_);
-    inbox_cv_.wait(lock, [this]() { return !inbox_.empty(); });
-    Message msg = std::move(inbox_.front());
-    inbox_.pop_front();
-    return msg;
-  }
-
-  bool TryRecv(Message* out) override {
-    std::lock_guard<std::mutex> lock(inbox_mu_);
-    if (inbox_.empty()) {
-      return false;
-    }
-    *out = std::move(inbox_.front());
-    inbox_.pop_front();
-    return true;
-  }
-
-  size_t InboxDepth() const override {
-    std::lock_guard<std::mutex> lock(inbox_mu_);
-    return inbox_.size();
-  }
+  Message Recv() override { return mailbox_.Pop(); }
+  bool TryRecv(Message* out) override { return mailbox_.TryPop(out); }
+  size_t InboxDepth() const override { return mailbox_.Size(); }
 
   SimTime LocalNow() const override { return HostNowPs(); }
   SimTime GlobalNow() const override { return HostNowPs(); }
-  void Compute(uint64_t core_cycles) override { ComputeSpin(platform(), core_cycles); }
+  void Compute(uint64_t core_cycles) override {
+    ComputeSpin(platform(), core_cycles, kOversubscribed);
+  }
 
   uint64_t ShmemRead(uint64_t addr) override { return sys_->shmem_->LoadWord(addr); }
   void ShmemWrite(uint64_t addr, uint64_t value) override {
@@ -149,43 +117,28 @@ class ProcessSystem::AppCore : public CoreEnv {
   void ShmemBulkAccess(uint64_t /*addr*/, uint64_t /*bytes*/) override {}
 
   void Barrier() override {
-    // Sense-reversing barrier over the app cores only: partition servers
-    // never rendezvous (their loops are pure request/response), and the
-    // dedicated deployment is the only one this backend supports.
-    const uint64_t generation = sys_->barrier_generation_.load(std::memory_order_acquire);
-    if (sys_->barrier_waiting_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        sys_->plan_.num_app()) {
-      sys_->barrier_waiting_.store(0, std::memory_order_relaxed);
-      sys_->barrier_generation_.fetch_add(1, std::memory_order_release);
-      return;
-    }
+    // Over the app cores only: partition servers never rendezvous (their
+    // loops are pure request/response), and the dedicated deployment is
+    // the only one this backend supports.
     uint32_t rounds = 0;
-    while (sys_->barrier_generation_.load(std::memory_order_acquire) == generation) {
+    sys_->barrier_.Arrive(sys_->plan_.num_app(), [&rounds]() {
       if (++rounds < 64) {
         std::this_thread::yield();
       } else {
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
-    }
+    });
   }
 
   SharedMemory& shmem() override { return *sys_->shmem_; }
   ShmAllocator& allocator() override { return *sys_->allocator_; }
 
-  void MailboxPush(Message msg) {
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      inbox_.push_back(std::move(msg));
-    }
-    inbox_cv_.notify_one();
-  }
+  void MailboxPush(Message msg) { mailbox_.Push(std::move(msg)); }
 
  private:
   ProcessSystem* sys_;
   uint32_t id_;
-  std::deque<Message> inbox_;
-  mutable std::mutex inbox_mu_;  // InboxDepth() is a const observer
-  std::condition_variable inbox_cv_;
+  MutexMailbox mailbox_;
 };
 
 // Service core: lives in the forked partition server. Its inbox is the
@@ -240,7 +193,9 @@ class ProcessSystem::ServiceCore : public CoreEnv {
 
   SimTime LocalNow() const override { return HostNowPs(); }
   SimTime GlobalNow() const override { return HostNowPs(); }
-  void Compute(uint64_t core_cycles) override { ComputeSpin(platform(), core_cycles); }
+  void Compute(uint64_t core_cycles) override {
+    ComputeSpin(platform(), core_cycles, kOversubscribed);
+  }
 
   uint64_t ShmemRead(uint64_t addr) override { return sys_->shmem_->LoadWord(addr); }
   void ShmemWrite(uint64_t addr, uint64_t value) override {

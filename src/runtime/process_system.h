@@ -42,6 +42,7 @@
 
 #include "src/runtime/backend.h"
 #include "src/runtime/core_env.h"
+#include "src/runtime/host_core.h"
 #include "src/runtime/wire.h"
 
 namespace tm2c {
@@ -107,8 +108,10 @@ class ProcessSystem : public SystemBackend {
     child_start_ = std::move(hook);
   }
 
-  // Builds the child's exit report (sent to kWireHostDst after its main
-  // returns, surfaced host-side through host_stats()).
+  // Builds the child's exit report: a kHostStats message, sent to
+  // kWireHostDst after the service main returns. The host keeps its extra
+  // words verbatim and returns them from host_stats(); their layout belongs
+  // to the hook's owner (TmSystem's is EncodeExitReport).
   void SetChildExitReport(std::function<Message(uint32_t partition)> hook) {
     child_exit_report_ = std::move(hook);
   }
@@ -207,10 +210,7 @@ class ProcessSystem : public SystemBackend {
 
   bool started_ = false;
 
-  // Sense-reversing rendezvous of the app cores only (partition servers
-  // never reach a barrier; their loops are pure request/response).
-  std::atomic<uint32_t> barrier_waiting_{0};
-  std::atomic<uint64_t> barrier_generation_{0};
+  HostBarrier barrier_;  // rendezvous of the app cores only
 };
 
 }  // namespace tm2c

@@ -16,13 +16,6 @@
 namespace tm2c {
 namespace {
 
-SimTime HostNowPs() {
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now().time_since_epoch())
-                      .count();
-  return static_cast<SimTime>(ns) * kPicosPerNano;
-}
-
 // One spin-wait iteration that tells the CPU (and SMT sibling) we are in a
 // busy-wait, without giving up the time slice.
 inline void CpuRelax() {
@@ -102,7 +95,7 @@ class ThreadSystem::Core : public CoreEnv {
     msg.src = id_;
     Core* receiver = sys_->cores_[dst].get();
     if (sys_->config_.channel == ChannelKind::kMutexMailbox) {
-      receiver->MailboxPush(std::move(msg));
+      receiver->mailbox_.Push(std::move(msg));
       return;
     }
     // SPSC ring: this thread is the only producer of ring(id_, dst).
@@ -117,14 +110,10 @@ class ThreadSystem::Core : public CoreEnv {
   }
 
   Message Recv() override {
-    Message msg;
     if (sys_->config_.channel == ChannelKind::kMutexMailbox) {
-      std::unique_lock<std::mutex> lock(inbox_mu_);
-      inbox_cv_.wait(lock, [this]() { return !inbox_.empty(); });
-      msg = std::move(inbox_.front());
-      inbox_.pop_front();
-      return msg;
+      return mailbox_.Pop();
     }
+    Message msg;
     Backoff backoff(sys_->config_);
     for (;;) {
       if (PollRings(&msg)) {
@@ -158,21 +147,14 @@ class ThreadSystem::Core : public CoreEnv {
 
   bool TryRecv(Message* out) override {
     if (sys_->config_.channel == ChannelKind::kMutexMailbox) {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      if (inbox_.empty()) {
-        return false;
-      }
-      *out = std::move(inbox_.front());
-      inbox_.pop_front();
-      return true;
+      return mailbox_.TryPop(out);
     }
     return PollRings(out);
   }
 
   size_t InboxDepth() const override {
     if (sys_->config_.channel == ChannelKind::kMutexMailbox) {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      return inbox_.size();
+      return mailbox_.Size();
     }
     size_t depth = 0;
     const uint32_t n = sys_->plan_.num_cores();
@@ -186,22 +168,7 @@ class ThreadSystem::Core : public CoreEnv {
   SimTime GlobalNow() const override { return HostNowPs(); }
 
   void Compute(uint64_t core_cycles) override {
-    // Approximate: one spin iteration per cycle at the modelled clock would
-    // be too slow on a loaded host; a nanosecond-scale busy wait preserves
-    // relative costs well enough for functional tests. On an oversubscribed
-    // host the spin yields once it has burned a microsecond: long modelled
-    // computations (contention-manager backoffs especially) must not starve
-    // the peer threads they are implicitly waiting for — two contenders
-    // that busy-wait their backoffs in lock-step on one CPU re-collide
-    // forever.
-    const SimTime deadline = HostNowPs() + platform().CoreCyclesToPs(core_cycles);
-    const SimTime spin_until =
-        sys_->oversubscribed_ ? HostNowPs() + kPicosPerMicro : deadline;
-    while (HostNowPs() < deadline) {
-      if (HostNowPs() >= spin_until) {
-        std::this_thread::yield();
-      }
-    }
+    ComputeSpin(platform(), core_cycles, sys_->oversubscribed_);
   }
 
   uint64_t ShmemRead(uint64_t addr) override { return sys_->shmem_->LoadWord(addr); }
@@ -221,19 +188,8 @@ class ThreadSystem::Core : public CoreEnv {
   void ShmemBulkAccess(uint64_t /*addr*/, uint64_t /*bytes*/) override {}
 
   void Barrier() override {
-    // Sense-reversing barrier: the last arrival resets the count, then
-    // bumps the generation; everyone else spins on the generation flip.
-    const uint64_t generation = sys_->barrier_generation_.load(std::memory_order_acquire);
-    if (sys_->barrier_waiting_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        sys_->plan_.num_cores()) {
-      sys_->barrier_waiting_.store(0, std::memory_order_relaxed);
-      sys_->barrier_generation_.fetch_add(1, std::memory_order_release);
-      return;
-    }
     Backoff backoff(sys_->config_);
-    while (sys_->barrier_generation_.load(std::memory_order_acquire) == generation) {
-      backoff.Pause();
-    }
+    sys_->barrier_.Arrive(sys_->plan_.num_cores(), [&backoff]() { backoff.Pause(); });
   }
 
   SharedMemory& shmem() override { return *sys_->shmem_; }
@@ -267,14 +223,6 @@ class ThreadSystem::Core : public CoreEnv {
     return false;
   }
 
-  void MailboxPush(Message msg) {
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      inbox_.push_back(std::move(msg));
-    }
-    inbox_cv_.notify_one();
-  }
-
   void InjectPush(Message msg) {
     {
       std::lock_guard<std::mutex> lock(inject_mu_);
@@ -303,10 +251,7 @@ class ThreadSystem::Core : public CoreEnv {
   uint32_t id_;
   uint32_t next_poll_ = 0;  // ring scan cursor, receiver thread only
 
-  // Mutex-mailbox transport (ChannelKind::kMutexMailbox).
-  std::deque<Message> inbox_;
-  mutable std::mutex inbox_mu_;  // InboxDepth() is a const observer
-  std::condition_variable inbox_cv_;
+  MutexMailbox mailbox_;  // ChannelKind::kMutexMailbox transport
 
   // Injection lane for messages produced outside any core thread
   // (SendShutdown); SPSC transport only.
@@ -370,7 +315,7 @@ void ThreadSystem::SendShutdown(uint32_t core) {
   msg.type = MsgType::kShutdown;
   msg.src = core;
   if (config_.channel == ChannelKind::kMutexMailbox) {
-    receiver->MailboxPush(std::move(msg));
+    receiver->mailbox_.Push(std::move(msg));
   } else {
     receiver->InjectPush(std::move(msg));
   }

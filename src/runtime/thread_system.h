@@ -22,6 +22,7 @@
 
 #include "src/runtime/backend.h"
 #include "src/runtime/core_env.h"
+#include "src/runtime/host_core.h"
 #include "src/runtime/spsc_channel.h"
 
 namespace tm2c {
@@ -117,9 +118,7 @@ class ThreadSystem : public SystemBackend {
   // and long Compute busy-waits yield (set once at construction).
   bool oversubscribed_ = false;
 
-  // Sense-reversing rendezvous of all cores, lock-free on the fast path.
-  std::atomic<uint32_t> barrier_waiting_{0};
-  std::atomic<uint64_t> barrier_generation_{0};
+  HostBarrier barrier_;  // rendezvous of all cores
 };
 
 }  // namespace tm2c

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/cm/contention_manager.h"
+#include "src/common/counters.h"
 #include "src/dslock/lock_table.h"
 #include "src/runtime/core_env.h"
 #include "src/tm/address_map.h"
@@ -30,22 +31,27 @@ namespace tm2c {
 
 class PartitionDurability;
 
+// One line per counter: X(merge kind, type, name); see src/common/counters.h.
+// The list order is also the process backend's exit-report layout.
+#define TM2C_DTM_SERVICE_STATS_FIELDS(X)                                                  \
+  X(Sum, uint64_t, requests)                                                              \
+  X(Sum, uint64_t, releases)                                                              \
+  X(Sum, uint64_t, notifications_sent)                                                    \
+  X(Sum, uint64_t, stale_requests_refused)                                                \
+  X(Sum, uint64_t, batch_requests)        /* multi-entry (address-list) kBatchAcquires */ \
+  X(Sum, uint64_t, batch_entries)         /* addresses across those requests */           \
+  X(Sum, uint64_t, misrouted_refused)     /* batch entries outside this partition */      \
+  X(Sum, uint64_t, local_direct_requests) /* owner-local fast-path Admit calls */         \
+  X(Sum, uint64_t, local_direct_entries)  /* stripes across those spans */                \
+  X(Sum, uint64_t, commit_records)        /* kCommitLog records appended */               \
+  X(Sum, uint64_t, log_flushes)           /* group-commit flushes performed */            \
+  X(Sum, uint64_t, migrations_started)    /* drain windows opened on this core */         \
+  X(Sum, uint64_t, migrations_completed)  /* directory flips performed */                 \
+  X(Sum, uint64_t, migrating_refused)     /* acquires refused: range draining */          \
+  X(Sum, uint64_t, overload_refused)      /* acquires refused: inbox high water */
+
 struct DtmServiceStats {
-  uint64_t requests = 0;
-  uint64_t releases = 0;
-  uint64_t notifications_sent = 0;
-  uint64_t stale_requests_refused = 0;
-  uint64_t batch_requests = 0;       // multi-entry (address-list) kBatchAcquires
-  uint64_t batch_entries = 0;        // addresses across those requests
-  uint64_t misrouted_refused = 0;    // batch entries outside this partition
-  uint64_t local_direct_requests = 0;  // owner-local fast-path Admit calls
-  uint64_t local_direct_entries = 0;   // stripes across those spans
-  uint64_t commit_records = 0;         // kCommitLog records appended
-  uint64_t log_flushes = 0;            // group-commit flushes performed
-  uint64_t migrations_started = 0;     // drain windows opened on this core
-  uint64_t migrations_completed = 0;   // directory flips performed
-  uint64_t migrating_refused = 0;      // acquires refused: range draining
-  uint64_t overload_refused = 0;       // acquires refused: inbox high water
+  TM2C_COUNTERS(DtmServiceStats, TM2C_DTM_SERVICE_STATS_FIELDS)
 };
 
 class DtmService {

@@ -36,6 +36,18 @@ std::unique_ptr<SystemBackend> MakeBackend(const TmSystemConfig& config) {
 
 }  // namespace
 
+std::vector<uint64_t> EncodeExitReport(uint64_t lock_entries, const DtmServiceStats& stats) {
+  std::vector<uint64_t> report = {lock_entries};
+  EncodeCounters(stats, &report);
+  return report;
+}
+
+DtmServiceStats DecodeExitReport(const std::vector<uint64_t>& report) {
+  TM2C_CHECK_MSG(report.size() == 1 + DtmServiceStats::kNumWords,
+                 "partition server exit report missing or malformed");
+  return DecodeCounters<DtmServiceStats>(report.data() + 1, report.size() - 1);
+}
+
 TmSystem::TmSystem(TmSystemConfig config)
     : config_(std::move(config)),
       system_(MakeBackend(config_)),
@@ -171,30 +183,11 @@ void TmSystem::WireProcessBackend() {
     }
   });
 
-  // The child's parting report: lock-table occupancy first (the host-side
-  // AllLockTablesEmpty source of truth), then every DtmServiceStats field
-  // in declaration order (see ServiceStats for the mirror decode).
   proc->SetChildExitReport([this](uint32_t partition) {
     const DtmService& svc = *services_[partition];
-    const DtmServiceStats& s = svc.stats();
     Message msg;
     msg.type = MsgType::kHostStats;
-    msg.extra = {static_cast<uint64_t>(svc.lock_table().NumEntries()),
-                 s.requests,
-                 s.releases,
-                 s.notifications_sent,
-                 s.stale_requests_refused,
-                 s.batch_requests,
-                 s.batch_entries,
-                 s.misrouted_refused,
-                 s.local_direct_requests,
-                 s.local_direct_entries,
-                 s.commit_records,
-                 s.log_flushes,
-                 s.migrations_started,
-                 s.migrations_completed,
-                 s.migrating_refused,
-                 s.overload_refused};
+    msg.extra = EncodeExitReport(svc.lock_table().NumEntries(), svc.stats());
     return msg;
   });
 
@@ -340,28 +333,15 @@ DtmServiceStats TmSystem::ServiceStats(uint32_t partition) const {
   if (config_.backend != BackendKind::kProcesses) {
     return services_[partition]->stats();
   }
-  auto* proc = static_cast<ProcessSystem*>(system_.get());
-  const std::vector<uint64_t> report = proc->host_stats(partition);
-  // Layout built by the child-exit-report hook: [lock-table entries,
-  // then DtmServiceStats fields in declaration order].
-  TM2C_CHECK_MSG(report.size() == 16, "partition server exit report missing or malformed");
-  DtmServiceStats s;
-  s.requests = report[1];
-  s.releases = report[2];
-  s.notifications_sent = report[3];
-  s.stale_requests_refused = report[4];
-  s.batch_requests = report[5];
-  s.batch_entries = report[6];
-  s.misrouted_refused = report[7];
-  s.local_direct_requests = report[8];
-  s.local_direct_entries = report[9];
-  s.commit_records = report[10];
-  s.log_flushes = report[11];
-  s.migrations_started = report[12];
-  s.migrations_completed = report[13];
-  s.migrating_refused = report[14];
-  s.overload_refused = report[15];
-  return s;
+  return DecodeExitReport(static_cast<ProcessSystem*>(system_.get())->host_stats(partition));
+}
+
+DtmServiceStats TmSystem::MergedServiceStats() const {
+  DtmServiceStats total;
+  for (uint32_t p = 0; p < services_.size(); ++p) {
+    total.Merge(ServiceStats(p));
+  }
+  return total;
 }
 
 const TxStats& TmSystem::AppStats(uint32_t app_index) const {
@@ -378,6 +358,9 @@ TxStats TmSystem::MergedStats() const {
 }
 
 const DtmService& TmSystem::ServiceAt(uint32_t partition) const {
+  TM2C_CHECK_MSG(config_.backend != BackendKind::kProcesses,
+                 "ServiceAt: the host's DtmService is a stale pre-fork image under the "
+                 "process backend; read counters through ServiceStats");
   TM2C_CHECK(partition < services_.size());
   return *services_[partition];
 }

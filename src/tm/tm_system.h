@@ -45,6 +45,14 @@ struct TmSystemConfig {
   std::string run_dir;
 };
 
+// The process backend's kHostStats exit report, sent by each partition
+// server as it exits cleanly: [lock-table entries, every DtmServiceStats
+// field in list order].
+std::vector<uint64_t> EncodeExitReport(uint64_t lock_entries, const DtmServiceStats& stats);
+// The stats half of an exit report. CHECK-fails on a missing report or one
+// of the wrong length.
+DtmServiceStats DecodeExitReport(const std::vector<uint64_t>& report);
+
 class TmSystem {
  public:
   explicit TmSystem(TmSystemConfig config);
@@ -68,6 +76,9 @@ class TmSystem {
   uint32_t num_app_cores() const { return system_->deployment().num_app(); }
   const TxStats& AppStats(uint32_t app_index) const;
   TxStats MergedStats() const;
+  // The partition's live DtmService. CHECK-fails under the process
+  // backend, where the host's copy is a stale pre-fork image: read
+  // counters through ServiceStats() there.
   const DtmService& ServiceAt(uint32_t partition) const;
 
   // End-of-run invariant: once every application body has completed (all
@@ -104,12 +115,13 @@ class TmSystem {
   // only); its cold standby recovers the partition from the WAL.
   void KillPartition(uint32_t partition) { process().KillPartition(partition); }
 
-  // Post-run service-side counters. Identical to ServiceAt(p).stats() on
-  // sim and threads; under processes the values come from the partition
-  // server's exit report — the host's DtmService object is a stale
-  // pre-fork image (counters accumulated before a kill die with the
-  // killed server; the report is the successor's).
+  // Post-run service-side counters, on every backend. Under processes the
+  // values come from the partition server's exit report (counters
+  // accumulated before a kill die with the killed server; the report is
+  // the successor's).
   DtmServiceStats ServiceStats(uint32_t partition) const;
+  // ServiceStats summed over every partition.
+  DtmServiceStats MergedServiceStats() const;
 
   // Durability handles (only valid when config.tm.durability != kOff;
   // one PartitionDurability per service partition, owned here so the log

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/shmem/abort_status.h"
@@ -97,7 +98,7 @@ void TxRuntime::BeginAttempt() {
   // Every path out of an attempt (commit, abort, TryExecute giving up)
   // drains the in-flight table first; a request still outstanding here
   // would mean a reply could be matched against the wrong attempt's locks.
-  TM2C_CHECK_MSG(inflight_.empty(), "in-flight acquisitions leaked across attempts");
+  TM2C_CHECK_MSG(inflight_live_ == 0, "in-flight acquisitions leaked across attempts");
   pending_refusal_ = ConflictKind::kNone;
   prefetch_pending_.clear();
   ++attempt_counter_;
@@ -255,11 +256,10 @@ uint64_t TxRuntime::WireMetric() {
   return 0;
 }
 
-uint64_t TxRuntime::IssueBatch(uint32_t node, std::vector<uint64_t> stripes, bool is_write,
-                               bool committing, bool batched) {
+uint64_t TxRuntime::IssueBatch(uint32_t node, const uint64_t* stripes, uint32_t len,
+                               bool is_write, bool committing, bool batched) {
   const SimTime issue_start = env_.LocalNow();
   const uint64_t request_id = next_request_id_++;
-  const auto len = static_cast<uint32_t>(stripes.size());
   TM2C_DCHECK(batched || len == 1);
   Message req;
   req.type = MsgType::kBatchAcquire;
@@ -268,11 +268,11 @@ uint64_t TxRuntime::IssueBatch(uint32_t node, std::vector<uint64_t> stripes, boo
   req.w1 = current_epoch_;
   req.w2 = WireMetric();
   if (batched) {
-    req.extra = stripes;  // the in-flight record keeps its own copy
+    req.extra.assign(stripes, stripes + len);
     ++stats_.batch_messages;
     // Depth at issue counts this request itself; depth 1 (lockstep) lands
     // every batch in bucket 0.
-    const size_t depth = inflight_.size() + 1;
+    const size_t depth = inflight_live_ + 1;
     ++stats_.inflight_depth_hist[std::min<size_t>(depth, stats_.inflight_depth_hist.size()) - 1];
   } else {
     req.w3 = stripes[0];
@@ -280,7 +280,14 @@ uint64_t TxRuntime::IssueBatch(uint32_t node, std::vector<uint64_t> stripes, boo
   if (trace_ != nullptr) {
     trace_->OnAcquireIssue(env_.core_id(), request_id, node, len, is_write);
   }
-  inflight_.emplace(request_id, InFlightAcquire{std::move(stripes), is_write, issue_start});
+  if (inflight_live_ == inflight_.size()) {
+    inflight_.emplace_back();
+  }
+  InFlightAcquire& slot = inflight_[inflight_live_++];
+  slot.request_id = request_id;
+  slot.stripes.assign(stripes, stripes + len);
+  slot.is_write = is_write;
+  slot.issue_start = issue_start;
   // A self-addressed request resolves synchronously at the issue position —
   // exactly the lockstep ordering — so it spends no time in the table.
   const Message rsp = SendRequest(node, std::move(req));
@@ -301,12 +308,23 @@ void TxRuntime::RecordGrants(const std::vector<uint64_t>& stripes, size_t grante
   }
 }
 
+TxRuntime::InFlightAcquire* TxRuntime::FindInFlight(uint64_t request_id) {
+  for (size_t i = 0; i < inflight_live_; ++i) {
+    if (inflight_[i].request_id == request_id) {
+      return &inflight_[i];
+    }
+  }
+  return nullptr;
+}
+
 void TxRuntime::CompleteBatch(const Message& rsp) {
   const uint64_t request_id = rsp.w3 >> kBatchReqIdShift;
-  auto it = inflight_.find(request_id);
-  TM2C_CHECK_MSG(it != inflight_.end(), "batch reply with no matching in-flight request");
-  InFlightAcquire fl = std::move(it->second);
-  inflight_.erase(it);
+  InFlightAcquire* slot = FindInFlight(request_id);
+  TM2C_CHECK_MSG(slot != nullptr, "batch reply with no matching in-flight request");
+  // Retire the slot to the spares; nothing below issues a request that
+  // could reuse it.
+  std::swap(*slot, inflight_[--inflight_live_]);
+  const InFlightAcquire& fl = inflight_[inflight_live_];
   const size_t len = fl.stripes.size();
   const auto granted = static_cast<size_t>(rsp.w3 & kBatchReqIdMask);
   TM2C_DCHECK(granted <= len);
@@ -344,7 +362,7 @@ void TxRuntime::CompleteBatch(const Message& rsp) {
 }
 
 void TxRuntime::WaitOneReply() {
-  TM2C_CHECK_MSG(!inflight_.empty(), "waiting for a batch reply with none outstanding");
+  TM2C_CHECK_MSG(inflight_live_ != 0, "waiting for a batch reply with none outstanding");
   for (;;) {
     const Message msg = env_.Recv();
     DispatchInbox(msg);
@@ -355,7 +373,7 @@ void TxRuntime::WaitOneReply() {
 }
 
 void TxRuntime::DrainInFlight() {
-  while (!inflight_.empty()) {
+  while (inflight_live_ != 0) {
     WaitOneReply();
   }
 }
@@ -426,23 +444,22 @@ void TxRuntime::IssueGroups(const std::map<uint32_t, std::vector<uint64_t>>& by_
       continue;
     }
     for (size_t pos = 0; pos < stripes.size(); pos += chunk) {
-      while (inflight_.size() >= depth && pending_refusal_ == ConflictKind::kNone) {
+      while (inflight_live_ >= depth && pending_refusal_ == ConflictKind::kNone) {
         WaitOneReply();
       }
       if (pending_refusal_ != ConflictKind::kNone) {
         break;
       }
-      const size_t len = std::min(chunk, stripes.size() - pos);
-      std::vector<uint64_t> request(stripes.begin() + static_cast<ptrdiff_t>(pos),
-                                    stripes.begin() + static_cast<ptrdiff_t>(pos + len));
+      const auto len = static_cast<uint32_t>(std::min(chunk, stripes.size() - pos));
+      const uint64_t* request = stripes.data() + pos;
       if (prefetch) {
         // Register before issuing: a self-addressed request resolves inside
         // IssueBatch and its CompleteBatch must find (and clear) the entries.
-        for (uint64_t stripe : request) {
-          prefetch_pending_[stripe] = next_request_id_;  // IssueBatch consumes it
+        for (uint32_t i = 0; i < len; ++i) {
+          prefetch_pending_[request[i]] = next_request_id_;  // IssueBatch consumes it
         }
       }
-      IssueBatch(node, std::move(request), is_write, committing, batched);
+      IssueBatch(node, request, len, is_write, committing, batched);
     }
   }
 }
@@ -466,8 +483,8 @@ void TxRuntime::AcquireOneOrAbort(uint64_t stripe, bool is_write, bool committin
     LocalAcquireSpanOrAbort({stripe}, is_write, committing);
     return;
   }
-  const uint64_t request_id = IssueBatch(node, {stripe}, is_write, committing, /*batched=*/false);
-  while (inflight_.find(request_id) != inflight_.end()) {
+  const uint64_t request_id = IssueBatch(node, &stripe, 1, is_write, committing, /*batched=*/false);
+  while (FindInFlight(request_id) != nullptr) {
     WaitOneReply();
   }
   TM2C_DCHECK(last_completion_.first == request_id);

@@ -185,24 +185,28 @@ class TxRuntime {
   void DispatchInbox(const Message& msg);
 
   // Acquisition. Every wire lock request is a kBatchAcquire issued without
-  // waiting for its reply; the in-flight table keyed by a per-runtime
-  // request id matches interleaved replies back to their requests. At most
+  // waiting for its reply; the in-flight table, searched by a per-runtime
+  // request id, matches interleaved replies back to their requests. At most
   // TmConfig::pipeline_depth group requests are outstanding at once;
   // pipeline_depth == 1 reproduces the lockstep request/reply sequence —
   // and its statistics — bit for bit.
   struct InFlightAcquire {
+    uint64_t request_id = 0;
     std::vector<uint64_t> stripes;  // the request's entries, in order
     bool is_write = false;
     SimTime issue_start = 0;  // local clock at issue, for acquire_time
   };
 
-  // Issues one request towards `node` and returns its request id.
+  // Issues one request for `stripes[0..len)` towards `node` and returns
+  // its request id.
   // `batched` requests are chunks of a max_batch > 1 group: they carry an
   // address list and count as batch messages; any other request has one
   // entry and travels in the 5-word form. Self-addressed requests
   // (multitasked deployment) resolve before this returns.
-  uint64_t IssueBatch(uint32_t node, std::vector<uint64_t> stripes, bool is_write, bool committing,
-                      bool batched);
+  uint64_t IssueBatch(uint32_t node, const uint64_t* stripes, uint32_t len, bool is_write,
+                      bool committing, bool batched);
+  // The live slot holding `request_id`, or nullptr once it has completed.
+  InFlightAcquire* FindInFlight(uint64_t request_id);
   // Records a kBatchReply: the granted prefix enters the held-lock sets
   // immediately (an abort releases it with everything else — the protocol
   // is all-or-prefix, no service-side rollback); a refusal is noted in
@@ -280,7 +284,11 @@ class TxRuntime {
   // prefetch_pending_ maps a prefetched stripe to the request that will
   // deliver its lock.
   uint64_t next_request_id_ = 0;
-  std::map<uint64_t, InFlightAcquire> inflight_;  // request id -> pending request
+  // inflight_[0, inflight_live_) are the outstanding requests; the slots
+  // past them are spares kept for reuse, so a lone Read() allocates
+  // nothing and a slot's `stripes` keeps its capacity.
+  std::vector<InFlightAcquire> inflight_;
+  size_t inflight_live_ = 0;
   ConflictKind pending_refusal_ = ConflictKind::kNone;
   // The most recent completion: (request id, its refusal or kNone). A lone
   // acquisition reads its own outcome here — pending_refusal_ may already

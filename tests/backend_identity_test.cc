@@ -78,6 +78,13 @@ TmSystemConfig ProcessConfig(const std::string& tag) {
   return cfg;
 }
 
+TEST(BackendIdentityDeathTest, ServiceAtFailsUnderProcesses) {
+  // The host's DtmService is a stale pre-fork image there; counters come
+  // from the partition servers' exit reports through ServiceStats.
+  TmSystem sys(ProcessConfig("stale"));
+  EXPECT_DEATH(sys.ServiceAt(0), "ServiceStats");
+}
+
 TEST(BackendIdentity, SimAndThreadsCommitTheSameWorkload) {
   TmSystemConfig sim_cfg = BaseConfig();
   sim_cfg.backend = BackendKind::kSim;
@@ -162,9 +169,7 @@ KvRunResult RunKvWorkload(TmSystemConfig cfg, bool migrate = false) {
   sys.Run();
   KvRunResult result;
   result.commits = sys.MergedStats().commits;
-  for (uint32_t p = 0; p < sys.deployment().num_service(); ++p) {
-    result.migrations_completed += sys.ServiceStats(p).migrations_completed;
-  }
+  result.migrations_completed = sys.MergedServiceStats().migrations_completed;
   result.slab0_partition = sys.address_map().PartitionOf(slab0.first);
   store.HostForEach([&result, &kv_cfg](uint64_t key, const uint64_t* value) {
     result.contents[key] = std::vector<uint64_t>(value, value + kv_cfg.value_words);

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <vector>
 
 #include "src/common/core_set.h"
+#include "src/common/counters.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -354,6 +357,84 @@ TEST(JsonWriter, NonFiniteNumbersBecomeNull) {
   w.Number(1.0);
   w.EndArray();
   EXPECT_EQ(w.Take(), "[null,null,1]");
+}
+
+// The counter registry gate: ProbeStats is a list as it stands, and each
+// ProbeWith* struct is the same list after a one-line addition. The added
+// counter must reach ==, Merge, the printer and the word codec with no
+// other edit.
+#define TM2C_PROBE_FIELDS(X) \
+  X(Sum, uint64_t, ops)      \
+  X(Max, uint64_t, worst)    \
+  X(Hist, CounterHist<3>, depth)
+#define TM2C_PROBE_WITH_SUM_FIELDS(X) TM2C_PROBE_FIELDS(X) X(Sum, uint64_t, added)
+#define TM2C_PROBE_WITH_MAX_FIELDS(X) TM2C_PROBE_FIELDS(X) X(Max, uint64_t, added)
+
+struct ProbeStats {
+  TM2C_COUNTERS(ProbeStats, TM2C_PROBE_FIELDS)
+};
+struct ProbeWithSum {
+  TM2C_COUNTERS(ProbeWithSum, TM2C_PROBE_WITH_SUM_FIELDS)
+};
+struct ProbeWithMax {
+  TM2C_COUNTERS(ProbeWithMax, TM2C_PROBE_WITH_MAX_FIELDS)
+};
+
+template <typename S>
+S MakeProbe(uint64_t ops, uint64_t worst, CounterHist<3> depth, uint64_t added) {
+  S s;
+  s.ops = ops;
+  s.worst = worst;
+  s.depth = depth;
+  s.added = added;
+  return s;
+}
+
+TEST(Counters, AddedLineGrowsTheEncodedForm) {
+  EXPECT_EQ(ProbeStats::kNumWords, 5u);  // ops, worst, three depth buckets
+  EXPECT_EQ(ProbeWithSum::kNumWords, ProbeStats::kNumWords + 1);
+  EXPECT_EQ(ProbeWithMax::kNumWords, ProbeStats::kNumWords + 1);
+}
+
+TEST(Counters, AddedCounterTakesPartInEquality) {
+  const auto a = MakeProbe<ProbeWithSum>(1, 2, {3, 4, 5}, 6);
+  EXPECT_EQ(a, MakeProbe<ProbeWithSum>(1, 2, {3, 4, 5}, 6));
+  EXPECT_NE(a, MakeProbe<ProbeWithSum>(1, 2, {3, 4, 5}, 7));
+  EXPECT_NE(a, MakeProbe<ProbeWithSum>(1, 2, {3, 4, 0}, 6));
+}
+
+TEST(Counters, AddedSumCounterMergesBySum) {
+  auto a = MakeProbe<ProbeWithSum>(1, 5, {1, 0, 2}, 2);
+  a.Merge(MakeProbe<ProbeWithSum>(3, 4, {0, 1, 1}, 3));
+  EXPECT_EQ(a, MakeProbe<ProbeWithSum>(4, 5, {1, 1, 3}, 5));
+}
+
+TEST(Counters, AddedMaxCounterMergesByMax) {
+  auto a = MakeProbe<ProbeWithMax>(1, 5, {1, 0, 2}, 2);
+  a.Merge(MakeProbe<ProbeWithMax>(3, 4, {0, 1, 1}, 3));
+  EXPECT_EQ(a, MakeProbe<ProbeWithMax>(4, 5, {1, 1, 3}, 3));
+  a.Merge(MakeProbe<ProbeWithMax>(0, 9, {0, 0, 0}, 1));
+  EXPECT_EQ(a, MakeProbe<ProbeWithMax>(4, 9, {1, 1, 3}, 3));
+}
+
+TEST(Counters, PrinterNamesEveryFieldInListOrder) {
+  std::ostringstream os;
+  os << MakeProbe<ProbeWithSum>(1, 2, {3, 4, 5}, 6);
+  EXPECT_EQ(os.str(), "{ops=1, worst=2, depth=[3,4,5], added=6}");
+}
+
+TEST(Counters, CodecRoundTripsInListOrder) {
+  const auto s = MakeProbe<ProbeWithMax>(1, 2, {3, 4, 5}, 6);
+  std::vector<uint64_t> words = {99};  // encoding appends
+  EncodeCounters(s, &words);
+  EXPECT_EQ(words, (std::vector<uint64_t>{99, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(DecodeCounters<ProbeWithMax>(words.data() + 1, words.size() - 1), s);
+}
+
+TEST(CountersDeathTest, DecodeRejectsTheWrongLength) {
+  const std::vector<uint64_t> words(ProbeWithSum::kNumWords + 1, 0);
+  EXPECT_DEATH(DecodeCounters<ProbeWithSum>(words.data(), words.size()), "wrong length");
+  EXPECT_DEATH(DecodeCounters<ProbeWithSum>(words.data(), words.size() - 2), "wrong length");
 }
 
 }  // namespace

@@ -390,8 +390,8 @@ TEST(TmMigration, LiveHandoffKeepsCountersExact) {
   EXPECT_EQ(sys.MergedStats().commits,
             static_cast<uint64_t>(sys.num_app_cores()) * kIncsPerCore);
   EXPECT_EQ(sys.address_map().PartitionOf(kBase), 1u);
-  EXPECT_EQ(sys.ServiceAt(0).stats().migrations_started, 1u);
-  EXPECT_EQ(sys.ServiceAt(0).stats().migrations_completed, 1u);
+  EXPECT_EQ(sys.ServiceStats(0).migrations_started, 1u);
+  EXPECT_EQ(sys.ServiceStats(0).migrations_completed, 1u);
   EXPECT_TRUE(sys.AllLockTablesEmpty());
 }
 
@@ -423,17 +423,13 @@ TEST(TmMigration, PolicyMovesHotRangeAndLeavesColdOneAlone) {
     total += sys.shmem().LoadWord(kHot + a * 8);
   }
   EXPECT_EQ(total, static_cast<uint64_t>(sys.num_app_cores()) * kIncsPerCore);
-  uint64_t started = 0;
-  uint64_t completed = 0;
-  for (uint32_t p = 0; p < 4; ++p) {
-    started += sys.ServiceAt(p).stats().migrations_started;
-    completed += sys.ServiceAt(p).stats().migrations_completed;
-  }
+  const DtmServiceStats svc = sys.MergedServiceStats();
+  const uint64_t completed = svc.migrations_completed;
   // The hot range moved at least once, and successive owners keep passing
   // it along (each sees the same heat): every completed hop goes to the
   // next partition, so the final owner is the hop count mod the partition
   // count. The cold range never moved.
-  EXPECT_GE(started, 1u);
+  EXPECT_GE(svc.migrations_started, 1u);
   EXPECT_GE(completed, 1u);
   EXPECT_EQ(sys.address_map().version(), completed);
   EXPECT_EQ(sys.address_map().PartitionOf(kHot), completed % 4);
@@ -476,12 +472,9 @@ TEST(TmFastPath, StaleRefusalAccountingParityWithWirePath) {
     }
     EXPECT_EQ(total, static_cast<uint64_t>(sys.num_app_cores()) * kIncsPerCore)
         << "fast_path=" << fast_path;
-    uint64_t stale = 0;
-    uint64_t direct = 0;
-    for (uint32_t p = 0; p < sys.deployment().num_service(); ++p) {
-      stale += sys.ServiceAt(p).stats().stale_requests_refused;
-      direct += sys.ServiceAt(p).stats().local_direct_requests;
-    }
+    const DtmServiceStats svc = sys.MergedServiceStats();
+    const uint64_t stale = svc.stale_requests_refused;
+    const uint64_t direct = svc.local_direct_requests;
     EXPECT_GT(stale, 0u) << "fast_path=" << fast_path;
     if (fast_path) {
       EXPECT_GT(direct, 0u);
@@ -576,6 +569,28 @@ TEST(TmStats, AbortsAndConflictsAreCounted) {
             0u);
   EXPECT_GT(stats.messages_sent, 0u);
   EXPECT_LT(stats.CommitRate(), 1.0);
+}
+
+TEST(ExitReport, RoundTripsEveryServiceCounterInListOrder) {
+  DtmServiceStats stats;
+  uint64_t next = 100;
+  DtmServiceStats::ForEachField([&](const char*, auto, auto member) { stats.*member = next++; });
+  const std::vector<uint64_t> report = EncodeExitReport(7, stats);
+  ASSERT_EQ(report.size(), 1 + DtmServiceStats::kNumWords);
+  EXPECT_EQ(report[0], 7u);  // lock-table entries lead
+  EXPECT_EQ(report[1], stats.requests);
+  EXPECT_EQ(report.back(), stats.overload_refused);
+  EXPECT_EQ(DecodeExitReport(report), stats);
+}
+
+TEST(ExitReportDeathTest, WrongLengthFailsItsCheck) {
+  std::vector<uint64_t> report = EncodeExitReport(0, DtmServiceStats{});
+  EXPECT_DEATH(DecodeExitReport({}), "exit report missing or malformed");
+  report.pop_back();
+  EXPECT_DEATH(DecodeExitReport(report), "exit report missing or malformed");
+  report.push_back(0);
+  report.push_back(0);
+  EXPECT_DEATH(DecodeExitReport(report), "exit report missing or malformed");
 }
 
 }  // namespace

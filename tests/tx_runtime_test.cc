@@ -273,31 +273,6 @@ TEST(TxRuntime, PrivatizationBarrierReusableAcrossGenerations) {
   }
 }
 
-// Field-by-field equality for the max_batch=1 identity test below.
-void ExpectStatsIdentical(const TxStats& a, const TxStats& b) {
-  EXPECT_EQ(a.commits, b.commits);
-  EXPECT_EQ(a.aborts, b.aborts);
-  EXPECT_EQ(a.raw_conflicts, b.raw_conflicts);
-  EXPECT_EQ(a.waw_conflicts, b.waw_conflicts);
-  EXPECT_EQ(a.war_conflicts, b.war_conflicts);
-  EXPECT_EQ(a.notify_aborts, b.notify_aborts);
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(a.early_releases, b.early_releases);
-  EXPECT_EQ(a.validation_failures, b.validation_failures);
-  EXPECT_EQ(a.busy_time, b.busy_time);
-  EXPECT_EQ(a.max_attempts_per_tx, b.max_attempts_per_tx);
-  EXPECT_EQ(a.lock_acquires, b.lock_acquires);
-  EXPECT_EQ(a.batch_messages, b.batch_messages);
-  EXPECT_EQ(a.acquire_time, b.acquire_time);
-  EXPECT_EQ(a.local_acquires, b.local_acquires);
-  EXPECT_EQ(a.remote_acquires, b.remote_acquires);
-  for (size_t i = 0; i < a.inflight_depth_hist.size(); ++i) {
-    EXPECT_EQ(a.inflight_depth_hist[i], b.inflight_depth_hist[i]) << "depth bucket " << i;
-  }
-}
-
 // The determinism regressions compare whole TxStats values, so equality and
 // Merge must see every field — in particular the pipelining additions
 // (local/remote acquire split, in-flight depth histogram). A field missed
@@ -386,7 +361,7 @@ TEST(TxRuntime, MaxBatchOneIsByteIdenticalToUnbatchedDefault) {
   explicit_one.tm.max_batch = 1;
   const TxStats a = RunBatchWorkload(std::move(defaults));
   const TxStats b = RunBatchWorkload(std::move(explicit_one));
-  ExpectStatsIdentical(a, b);
+  EXPECT_EQ(a, b);
   EXPECT_EQ(a.batch_messages, 0u);  // the batch protocol never fired
   EXPECT_GT(a.commits, 0u);
 }
@@ -590,7 +565,7 @@ TEST(TxElasticEdge, ReadManyUnderElasticEarlyMatchesScalarReads) {
   const auto [many_values, many_stats] = run(true);
   const auto [scalar_values, scalar_stats] = run(false);
   EXPECT_EQ(many_values, scalar_values);
-  ExpectStatsIdentical(many_stats, scalar_stats);
+  EXPECT_EQ(many_stats, scalar_stats);
   EXPECT_EQ(many_stats.batch_messages, 0u);  // fallback: no batch protocol
   EXPECT_GT(many_stats.early_releases, 0u);  // the window did slide
 }
