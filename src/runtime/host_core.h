@@ -1,6 +1,6 @@
 // Host-side pieces shared by the two native backends: the clock, the
-// Compute busy-wait and the mutex/condvar mailbox (the thread backend's
-// kMutexMailbox transport, the process backend's app-core inbox).
+// Compute busy-wait, the barrier, and the mutex/condvar mailbox (the
+// process backend's app-core inbox).
 #ifndef TM2C_SRC_RUNTIME_HOST_CORE_H_
 #define TM2C_SRC_RUNTIME_HOST_CORE_H_
 

@@ -56,10 +56,6 @@ struct ProcessSystemConfig {
   // (part<p>.g<gen>.sock). Created if missing. Required: socket paths must
   // be unique per run, so callers pass a fresh (temp) directory.
   std::string run_dir;
-  // Bounded connect retry towards a (re)started partition server: the
-  // child needs a moment between fork/activation and listen().
-  uint32_t connect_attempts = 500;
-  uint32_t connect_retry_ms = 10;
 };
 
 // The deployment is always dedicated: a partition server process cannot
@@ -125,7 +121,7 @@ class ProcessSystem : public SystemBackend {
 
   // Base of the per-core abort-status words (TmConfig::abort_status_base)
   // so the restart fence can publish revocations the same way contention
-  // managers do. Unset: the fence relies on kAbortNotify delivery alone.
+  // managers do. Required before Run.
   void SetAbortStatusBase(uint64_t base) { abort_status_base_ = base; }
 
   // SIGKILLs the partition's current server process mid-run. The partition
@@ -206,7 +202,7 @@ class ProcessSystem : public SystemBackend {
   std::function<void(uint32_t, bool, CoreEnv&)> child_start_;
   std::function<Message(uint32_t)> child_exit_report_;
   std::function<void(uint32_t, const Message&)> host_frame_;
-  uint64_t abort_status_base_ = ~uint64_t{0};
+  uint64_t abort_status_base_ = ~uint64_t{0};  // unset until SetAbortStatusBase
 
   bool started_ = false;
 

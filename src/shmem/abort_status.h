@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <thread>
 
+#include "src/shmem/allocator.h"
 #include "src/shmem/shared_memory.h"
 
 namespace tm2c {
@@ -25,6 +26,17 @@ namespace tm2c {
 constexpr uint64_t kPersistingBit = uint64_t{1} << 63;
 
 constexpr uint64_t PersistingMarker(uint64_t epoch) { return kPersistingBit | epoch; }
+
+// Allocates one zeroed status word per core and returns the base address
+// (TmConfig::abort_status_base).
+inline uint64_t AllocAbortStatusWords(ShmAllocator& allocator, SharedMemory& shmem,
+                                      uint32_t num_cores) {
+  const uint64_t base = allocator.AllocGlobal(uint64_t{num_cores} * kWordBytes);
+  for (uint32_t c = 0; c < num_cores; ++c) {
+    shmem.StoreWord(base + c * kWordBytes, 0);
+  }
+  return base;
+}
 
 // Committer side: claims the persist window for `epoch`. Returns false,
 // leaving the word untouched, when it already names `epoch` (revoked);

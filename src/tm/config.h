@@ -115,10 +115,6 @@ struct TmConfig {
   WriteAcquire write_acquire = WriteAcquire::kLazy;
   TxMode tx_mode = TxMode::kNormal;
 
-  // Lock granularity in bytes (power of two). The paper maps single bytes;
-  // a word stripe is the simulator's natural unit.
-  uint64_t stripe_bytes = 8;
-
   // Maximum number of lock acquisitions travelling in one kBatchAcquire
   // message. The runtime groups pending read/write-set acquisitions by
   // responsible node and flushes each group in chunks of at most this many
@@ -151,32 +147,16 @@ struct TmConfig {
   // Elastic window: how many trailing reads stay protected/validated.
   uint32_t elastic_window = 2;
 
-  // Back-off-Retry parameters: wait is uniform in [0, bound) core cycles,
-  // bound doubling per consecutive abort up to the cap.
-  uint64_t backoff_initial_cycles = 2000;
-  uint64_t backoff_max_cycles = 1 << 20;
-
-  // Service-side processing cost per request, in service-core cycles
-  // (drives the service saturation behaviour of Figure 5(b)).
-  uint64_t service_base_cycles = 120;
-  uint64_t service_per_item_cycles = 40;
-
   // Base address of the per-core abort status words in shared memory
-  // (one word per core, indexed by core id), or kNoAbortStatus when the
-  // mechanism is disabled. The DS-Lock service publishes a revocation by
-  // storing the victim's epoch here — the paper's "status atomically
+  // (one word per core, indexed by core id, each zeroed before the run;
+  // see AllocAbortStatusWords). The DS-Lock service publishes a revocation
+  // by storing the victim's epoch here — the paper's "status atomically
   // switched from pending to aborted" — and the victim reads it atomically
   // with its write-set persist, closing the race between an in-flight
-  // abort notification and the commit point. TmSystem sets this up
-  // automatically; standalone harnesses may leave it disabled.
-  uint64_t abort_status_base = kNoAbortStatus;
-  static constexpr uint64_t kNoAbortStatus = UINT64_MAX;
-
-  // Multitasked deployment only: cost of the libtask coroutine switch into
-  // and out of the service task, charged per request an application core
-  // serves. Dedicated cores never pay it — one reason the dedicated
-  // deployment wins (Figure 4(a)).
-  uint64_t multitask_switch_cycles = 250;
+  // abort notification and the commit point. Required: DtmService and
+  // TxRuntime refuse to construct while it is unset. TmSystem allocates
+  // the words; a harness that builds them by hand must do the same.
+  uint64_t abort_status_base = UINT64_MAX;
 
   // Planted protocol mutation (verification only; see FaultMode above).
   FaultMode fault = FaultMode::kNone;
@@ -195,14 +175,6 @@ struct TmConfig {
   // recovery replays a bounded suffix; 0 = log only, never checkpoint.
   uint64_t checkpoint_every_records = 0;
 
-  // Simulated costs of the durability path, charged on the service core:
-  // per payload word appended, and per flush in each mode. Calibrated so
-  // the ablation's expected ordering (off >= buffered >= fsync) is the
-  // model's behaviour, not an accident: an fsync is ~a disk round trip.
-  uint64_t log_append_cycles_per_word = 30;
-  uint64_t log_flush_buffered_cycles = 400;
-  uint64_t log_flush_fsync_cycles = 20000;
-
   // --- Stripe-ownership migration and admission control ------------------
   // Migration policy loop: every `migrate_check_every` acquire requests a
   // service tallies per-range traffic; if the window saw at least
@@ -213,22 +185,12 @@ struct TmConfig {
   uint32_t migrate_check_every = 0;
   uint32_t migrate_hot_threshold = 0;
 
-  // Cycles a client backs off after a kMigrating refusal before retrying —
-  // long enough for a typical drain to finish, short enough not to idle a
-  // core through the whole migration.
-  uint64_t migrate_backoff_cycles = 4000;
-
   // Admission control: when a service observes more than this many pending
   // inbox messages, it refuses non-committing acquires with kOverload
   // instead of queueing them. 0 disables admission control. Commit-phase
   // acquisitions are always admitted: refusing a committer wastes every
   // lock it already holds.
   uint32_t overload_high_water = 0;
-
-  // Cycles a client backs off after a kOverload refusal. Longer than the
-  // migration backoff: an overloaded service needs its queue drained, not
-  // an instant retry.
-  uint64_t overload_backoff_cycles = 8000;
 };
 
 }  // namespace tm2c

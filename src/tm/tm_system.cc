@@ -1,10 +1,15 @@
 #include "src/tm/tm_system.h"
 
 #include "src/common/check.h"
+#include "src/shmem/abort_status.h"
 #include "src/tm/wire_trace.h"
 
 namespace tm2c {
 namespace {
+
+// Lock granularity in bytes (power of two). The paper maps single bytes; a
+// word stripe is the simulator's natural unit.
+constexpr uint64_t kStripeBytes = 8;
 
 std::unique_ptr<SystemBackend> MakeBackend(const TmSystemConfig& config) {
   if (config.backend == BackendKind::kSim) {
@@ -28,9 +33,7 @@ std::unique_ptr<SystemBackend> MakeBackend(const TmSystemConfig& config) {
   tcfg.num_service = config.sim.num_service;
   tcfg.strategy = config.sim.strategy;
   tcfg.shmem_bytes = config.sim.shmem_bytes;
-  tcfg.channel = config.channel;
   tcfg.pin_threads = config.pin_threads;
-  tcfg.channel_capacity = config.channel_capacity;
   return std::make_unique<ThreadSystem>(tcfg);
 }
 
@@ -51,20 +54,14 @@ DtmServiceStats DecodeExitReport(const std::vector<uint64_t>& report) {
 TmSystem::TmSystem(TmSystemConfig config)
     : config_(std::move(config)),
       system_(MakeBackend(config_)),
-      map_(system_->deployment(), config_.tm.stripe_bytes) {
+      map_(system_->deployment(), kStripeBytes) {
   const DeploymentPlan& plan = system_->deployment();
   TM2C_CHECK_MSG(config_.tm.max_batch >= 1 && config_.tm.max_batch <= kMaxBatchEntries,
                  "max_batch must be in [1, kMaxBatchEntries]");
   TM2C_CHECK_MSG(config_.tm.pipeline_depth >= 1 && config_.tm.pipeline_depth <= 64,
                  "pipeline_depth must be in [1, 64]");
-  // Per-core abort status words (see TmConfig::abort_status_base).
-  if (config_.tm.abort_status_base == TmConfig::kNoAbortStatus) {
-    config_.tm.abort_status_base =
-        system_->allocator().AllocGlobal(static_cast<uint64_t>(plan.num_cores()) * kWordBytes);
-    for (uint32_t c = 0; c < plan.num_cores(); ++c) {
-      system_->shmem().StoreWord(config_.tm.abort_status_base + c * kWordBytes, 0);
-    }
-  }
+  config_.tm.abort_status_base =
+      AllocAbortStatusWords(system_->allocator(), system_->shmem(), plan.num_cores());
   bodies_.resize(plan.num_app());
   apps_running_.store(plan.num_app(), std::memory_order_relaxed);
 
@@ -195,35 +192,8 @@ void TmSystem::WireProcessBackend() {
   // into the attached sink on the partition's router thread (AttachTrace
   // requires a MutexTraceSink here for exactly this reason).
   proc->SetHostFrameHandler([this](uint32_t partition, const Message& msg) {
-    TxTraceSink* sink = attached_trace_;
-    if (sink == nullptr) {
-      return;
-    }
-    switch (msg.type) {
-      case MsgType::kTraceWalAppend: {
-        TM2C_CHECK(msg.extra.size() % 2 == 0);
-        std::vector<std::pair<uint64_t, uint64_t>> pairs;
-        pairs.reserve(msg.extra.size() / 2);
-        for (size_t i = 0; i + 1 < msg.extra.size(); i += 2) {
-          pairs.emplace_back(msg.extra[i], msg.extra[i + 1]);
-        }
-        sink->OnWalAppend(partition, static_cast<uint32_t>(msg.w2), msg.w1, msg.w0, pairs);
-        break;
-      }
-      case MsgType::kTraceCommitLogAck:
-        sink->OnCommitLogAck(partition, static_cast<uint32_t>(msg.w2), msg.w1, msg.w0);
-        break;
-      case MsgType::kTraceWalFlush:
-        sink->OnWalFlush(partition, msg.w0, msg.w1);
-        break;
-      case MsgType::kTraceCheckpoint:
-        sink->OnCheckpoint(partition, msg.w0, msg.w1);
-        break;
-      case MsgType::kTraceWalTruncate:
-        sink->OnWalTruncate(partition, msg.w0, msg.w1);
-        break;
-      default:
-        TM2C_FATAL("unexpected host-bound frame type");
+    if (attached_trace_ != nullptr) {
+      ReplayWireTraceFrame(partition, msg, attached_trace_);
     }
   });
 }

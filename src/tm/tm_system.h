@@ -35,10 +35,8 @@ struct TmSystemConfig {
   TmConfig tm;
 
   BackendKind backend = BackendKind::kSim;
-  // Thread-backend tuning; ignored under the simulator.
-  ChannelKind channel = ChannelKind::kSpscRing;
+  // Thread backend only: pin each core thread to a host CPU.
   bool pin_threads = false;
-  uint32_t channel_capacity = 256;
   // Process backend only: directory for the partition sockets and (when
   // durability is on) the per-partition WAL backing files. Required there,
   // ignored elsewhere. Pass a fresh per-run (temp) directory.

@@ -9,6 +9,15 @@
 #include "src/sim/fiber.h"
 
 namespace tm2c {
+namespace {
+
+// Multitasked deployment only: cost of the libtask coroutine switch into
+// and out of the service task, charged per request an application core
+// serves. Dedicated cores never pay it — one reason the dedicated
+// deployment wins (Figure 4(a)).
+constexpr uint64_t kMultitaskSwitchCycles = 250;
+
+}  // namespace
 
 TxRuntime::TxRuntime(CoreEnv& env, const TmConfig& config, const AddressMap& map,
                      DtmService* local_service)
@@ -17,6 +26,8 @@ TxRuntime::TxRuntime(CoreEnv& env, const TmConfig& config, const AddressMap& map
       map_(map),
       local_service_(local_service),
       backoff_rng_(0x5bd1e995u * (env.core_id() + 1)) {
+  TM2C_CHECK_MSG(config_.abort_status_base != UINT64_MAX,
+                 "TxRuntime needs TmConfig::abort_status_base (see AllocAbortStatusWords)");
   if (local_service_ != nullptr) {
     local_service_->SetLocalAbortSink([this](uint64_t epoch, ConflictKind kind) {
       if (in_tx_ && epoch == current_epoch_) {
@@ -70,23 +81,29 @@ bool TxRuntime::TryExecute(const std::function<void(Tx&)>& body, uint64_t max_at
       if (attempts >= max_attempts) {
         return false;
       }
-      if (abort.reason == ConflictKind::kMigrating && config_.migrate_backoff_cycles > 0) {
+      if (abort.reason == ConflictKind::kMigrating) {
         // A drain window or a stale route refused us: back off past the
         // expected drain latency regardless of the CM — an instant retry
-        // would only be refused again by the same window.
-        env_.Compute(backoff_rng_.NextBelow(config_.migrate_backoff_cycles) + 1);
-      } else if (abort.reason == ConflictKind::kOverload &&
-                 config_.overload_backoff_cycles > 0) {
+        // would only be refused again by the same window. Long enough for
+        // a typical drain to finish, short enough not to idle a core
+        // through the whole migration.
+        constexpr uint64_t kMigrateBackoffCycles = 4000;
+        env_.Compute(backoff_rng_.NextBelow(kMigrateBackoffCycles) + 1);
+      } else if (abort.reason == ConflictKind::kOverload) {
         // Admission control shed us: give the service's inbox time to
         // drain below the high-water mark before offering the load again.
-        env_.Compute(backoff_rng_.NextBelow(config_.overload_backoff_cycles) + 1);
+        // Longer than the migration backoff: an overloaded service needs
+        // its queue drained, not an instant retry.
+        constexpr uint64_t kOverloadBackoffCycles = 8000;
+        env_.Compute(backoff_rng_.NextBelow(kOverloadBackoffCycles) + 1);
       } else if (config_.cm == CmKind::kBackoffRetry) {
-        // Randomized exponential back-off before the retry (Section 4.2).
+        // Randomized exponential back-off before the retry (Section 4.2):
+        // the wait is uniform in [0, bound) core cycles, the bound
+        // doubling per consecutive abort up to the cap.
+        constexpr uint64_t kBackoffInitialCycles = 2000;
+        constexpr uint64_t kBackoffMaxCycles = 1 << 20;
         const uint64_t shift = std::min<uint64_t>(consecutive_aborts_ - 1, 16);
-        uint64_t bound = config_.backoff_initial_cycles << shift;
-        if (bound > config_.backoff_max_cycles) {
-          bound = config_.backoff_max_cycles;
-        }
+        const uint64_t bound = std::min(kBackoffInitialCycles << shift, kBackoffMaxCycles);
         env_.Compute(backoff_rng_.NextBelow(bound) + 1);
       }
     }
@@ -174,7 +191,7 @@ void TxRuntime::DispatchInbox(const Message& msg) {
       break;
   }
   if (local_service_ != nullptr) {
-    env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
+    env_.Compute(kMultitaskSwitchCycles);  // coroutine switch
     if (local_service_->HandleMessage(msg)) {
       return;  // multitasked deployment: served a DTM request (Figure 2)
     }
@@ -545,7 +562,7 @@ Message TxRuntime::SendRequest(uint32_t dst, Message msg) {
     // Multitasked deployment: this core is its own responsible node.
     TM2C_CHECK_MSG(local_service_ != nullptr, "self-addressed request without a local service");
     msg.src = env_.core_id();
-    env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
+    env_.Compute(kMultitaskSwitchCycles);  // coroutine switch
     return local_service_->HandleLocal(msg);
   }
   env_.Send(dst, std::move(msg));
@@ -818,70 +835,58 @@ void TxRuntime::TxCommit() {
     return;
   }
 
-  // Commit point. With the abort-status protocol enabled, the status check
-  // and the whole write-set persist are atomic with respect to revocations:
-  // a revocation either lands before (the status word names our epoch and
-  // we abort with no writes applied) or after (we are fully persisted and
-  // the revoker serializes behind us). On the simulator they execute at one
-  // simulated instant; on threads and processes the persisting marker makes
-  // a concurrent revocation wait until the stores are done
-  // (src/shmem/abort_status.h). Without the protocol — standalone
-  // harnesses — the persist is word-at-a-time and relies on notification
-  // timing alone.
-  if (config_.abort_status_base != TmConfig::kNoAbortStatus) {
-    const uint64_t status_addr = config_.abort_status_base + env_.core_id() * kWordBytes;
-    (void)env_.ShmemRead(status_addr);  // pay the access latency
-    uint64_t prior_status = 0;
-    if (!BeginPersist(env_.shmem(), status_addr, current_epoch_, &prior_status)) {
-      ++stats_.notify_aborts;
-      AbortSelf(pending_abort_kind_ != ConflictKind::kNone ? pending_abort_kind_
-                                                           : ConflictKind::kWriteAfterRead);
-    }
-    // Elastic updates: re-validate inside the window. The timed validation
-    // above paid the cost, but a foreign commit can land between it and
-    // this point (unlocked reads leave that window open); the recheck makes
-    // validation and persist atomic. Written locations are exempt: their
-    // write locks have been held since before the timed validation, so
-    // nothing can have changed them since it passed.
-    bool stale_read = false;
-    if (config_.tx_mode == TxMode::kElasticRead && !write_buffer_.empty()) {
-      for (const auto& [addr, value] : elastic_read_values_) {
-        if (write_buffer_.find(addr) == write_buffer_.end() &&
-            env_.shmem().LoadWord(addr) != value) {
-          stale_read = true;
-        }
-      }
-    }
-    if (config_.tx_mode == TxMode::kElasticEarly && !write_buffer_.empty()) {
-      for (const auto& [stripe, value] : early_released_values_) {
-        if (env_.shmem().LoadWord(stripe) != value) {
-          stale_read = true;
-        }
-      }
-    }
-    if (stale_read) {
-      EndPersist(env_.shmem(), status_addr, prior_status);
-      ++stats_.validation_failures;
-      AbortSelf(ConflictKind::kReadAfterWrite);
-    }
-    for (uint64_t addr : write_order_) {
-      env_.shmem().StoreWord(addr, write_buffer_[addr]);
-      if (trace_ != nullptr) {
-        trace_->OnTxPersist(env_.core_id(), addr, write_buffer_[addr]);
-      }
-    }
-    EndPersist(env_.shmem(), status_addr, prior_status);
-    // Charge the persist time after the fact (idempotence-free: no re-store).
-    env_.Compute(env_.platform().mem_latency_cycles * write_order_.size());
-  } else {
-    // Algorithm 3 line 14: persist the write-set to shared memory.
-    for (uint64_t addr : write_order_) {
-      env_.ShmemWrite(addr, write_buffer_[addr]);
-      if (trace_ != nullptr) {
-        trace_->OnTxPersist(env_.core_id(), addr, write_buffer_[addr]);
+  // Commit point (Algorithm 3 line 14, persist the write set). The
+  // abort-status check and the whole write-set persist are atomic with
+  // respect to revocations: a revocation either lands before (the status
+  // word names our epoch and we abort with no writes applied) or after (we
+  // are fully persisted and the revoker serializes behind us). On the
+  // simulator they execute at one simulated instant; on threads and
+  // processes the persisting marker makes a concurrent revocation wait
+  // until the stores are done (src/shmem/abort_status.h).
+  const uint64_t status_addr = config_.abort_status_base + env_.core_id() * kWordBytes;
+  (void)env_.ShmemRead(status_addr);  // pay the access latency
+  uint64_t prior_status = 0;
+  if (!BeginPersist(env_.shmem(), status_addr, current_epoch_, &prior_status)) {
+    ++stats_.notify_aborts;
+    AbortSelf(pending_abort_kind_ != ConflictKind::kNone ? pending_abort_kind_
+                                                         : ConflictKind::kWriteAfterRead);
+  }
+  // Elastic updates: re-validate inside the window. The timed validation
+  // above paid the cost, but a foreign commit can land between it and
+  // this point (unlocked reads leave that window open); the recheck makes
+  // validation and persist atomic. Written locations are exempt: their
+  // write locks have been held since before the timed validation, so
+  // nothing can have changed them since it passed.
+  bool stale_read = false;
+  if (config_.tx_mode == TxMode::kElasticRead && !write_buffer_.empty()) {
+    for (const auto& [addr, value] : elastic_read_values_) {
+      if (write_buffer_.find(addr) == write_buffer_.end() &&
+          env_.shmem().LoadWord(addr) != value) {
+        stale_read = true;
       }
     }
   }
+  if (config_.tx_mode == TxMode::kElasticEarly && !write_buffer_.empty()) {
+    for (const auto& [stripe, value] : early_released_values_) {
+      if (env_.shmem().LoadWord(stripe) != value) {
+        stale_read = true;
+      }
+    }
+  }
+  if (stale_read) {
+    EndPersist(env_.shmem(), status_addr, prior_status);
+    ++stats_.validation_failures;
+    AbortSelf(ConflictKind::kReadAfterWrite);
+  }
+  for (uint64_t addr : write_order_) {
+    env_.shmem().StoreWord(addr, write_buffer_[addr]);
+    if (trace_ != nullptr) {
+      trace_->OnTxPersist(env_.core_id(), addr, write_buffer_[addr]);
+    }
+  }
+  EndPersist(env_.shmem(), status_addr, prior_status);
+  // Charge the persist time after the fact (idempotence-free: no re-store).
+  env_.Compute(env_.platform().mem_latency_cycles * write_order_.size());
 
   // Durability: the persisted write set becomes a commit-log record on
   // every owner partition BEFORE any lock is released. The acks gate the

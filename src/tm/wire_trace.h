@@ -1,4 +1,5 @@
-// Child-side trace sink for the process backend.
+// The process backend's kTrace* frame format: WireTraceSink encodes on the
+// partition server, ReplayWireTraceFrame decodes on the host.
 //
 // A forked partition server cannot call into the host's TxTraceSink — the
 // sink object in its address space is an inert copy-on-write duplicate. Its
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/runtime/core_env.h"
 #include "src/runtime/wire.h"
 #include "src/tm/trace.h"
@@ -93,6 +95,37 @@ class WireTraceSink : public TxTraceSink {
  private:
   CoreEnv* env_;
 };
+
+// Host side: replays one kTrace* frame from `partition`'s server into
+// `sink`. Any other frame type is fatal.
+inline void ReplayWireTraceFrame(uint32_t partition, const Message& msg, TxTraceSink* sink) {
+  switch (msg.type) {
+    case MsgType::kTraceWalAppend: {
+      TM2C_CHECK(msg.extra.size() % 2 == 0);
+      std::vector<std::pair<uint64_t, uint64_t>> pairs;
+      pairs.reserve(msg.extra.size() / 2);
+      for (size_t i = 0; i + 1 < msg.extra.size(); i += 2) {
+        pairs.emplace_back(msg.extra[i], msg.extra[i + 1]);
+      }
+      sink->OnWalAppend(partition, static_cast<uint32_t>(msg.w2), msg.w1, msg.w0, pairs);
+      return;
+    }
+    case MsgType::kTraceCommitLogAck:
+      sink->OnCommitLogAck(partition, static_cast<uint32_t>(msg.w2), msg.w1, msg.w0);
+      return;
+    case MsgType::kTraceWalFlush:
+      sink->OnWalFlush(partition, msg.w0, msg.w1);
+      return;
+    case MsgType::kTraceCheckpoint:
+      sink->OnCheckpoint(partition, msg.w0, msg.w1);
+      return;
+    case MsgType::kTraceWalTruncate:
+      sink->OnWalTruncate(partition, msg.w0, msg.w1);
+      return;
+    default:
+      TM2C_FATAL("unexpected host-bound frame type");
+  }
+}
 
 }  // namespace tm2c
 

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "src/runtime/sim_system.h"
+#include "src/shmem/abort_status.h"
 #include "src/tm/address_map.h"
 
 namespace tm2c {
@@ -25,6 +26,7 @@ class ServiceHarness {
     cfg.shmem_bytes = 1 << 20;
     cfg.seed = 3;
     sys_ = std::make_unique<SimSystem>(cfg);
+    tm.abort_status_base = AllocAbortStatusWords(sys_->allocator(), sys_->shmem(), cfg.num_cores);
     service_ = std::make_unique<DtmService>(sys_->env(0), tm);
     sys_->SetCoreMain(0, [this](CoreEnv&) { service_->RunLoop(); });
   }
@@ -316,7 +318,8 @@ TEST(DtmService, BatchMisroutedEntryTerminatesPrefix) {
   cfg.seed = 3;
   SimSystem sys(cfg);
   TmConfig tm;
-  AddressMap map(sys.deployment(), tm.stripe_bytes);
+  tm.abort_status_base = AllocAbortStatusWords(sys.allocator(), sys.shmem(), cfg.num_cores);
+  AddressMap map(sys.deployment(), kWordBytes);
   DtmService service(sys.env(0), tm, &map);
   sys.SetCoreMain(0, [&service](CoreEnv&) { service.RunLoop(); });
 
@@ -351,9 +354,11 @@ struct MigrationFixture {
     cfg.shmem_bytes = 1 << 20;
     cfg.seed = 3;
     sys = std::make_unique<SimSystem>(cfg);
-    map = std::make_unique<AddressMap>(sys->deployment(), TmConfig{}.stripe_bytes);
+    map = std::make_unique<AddressMap>(sys->deployment(), kWordBytes);
     map->AddOwnedRange(0x1000, 0x100, 0);
-    service = std::make_unique<DtmService>(sys->env(0), TmConfig{}, map.get());
+    TmConfig tm;
+    tm.abort_status_base = AllocAbortStatusWords(sys->allocator(), sys->shmem(), cfg.num_cores);
+    service = std::make_unique<DtmService>(sys->env(0), tm, map.get());
     sys->SetCoreMain(0, [this](CoreEnv&) { service->RunLoop(); });
   }
 
@@ -537,7 +542,7 @@ AdmissionRun RunAdmissionScenario(Transport transport) {
   tm.cm = CmKind::kFairCm;  // lower metric wins
   tm.overload_high_water = 2;
   tm.abort_status_base = 0x80000;
-  AddressMap map(sys.deployment(), tm.stripe_bytes);
+  AddressMap map(sys.deployment(), kWordBytes);
   map.AddOwnedRange(0x1000, 0x100, 0);
   DtmService svc(sys.env(0), tm, &map);
   AdmissionRun run;
