@@ -246,22 +246,22 @@ void RunKvCrashRestart(const CheckRunConfig& cfg, TmSystem& sys, KvStore& store,
   // come back clean apart from that torn tail.
   std::vector<std::vector<CommitRecord>> durable_log(num_partitions);
   for (uint32_t p = 0; p < num_partitions; ++p) {
-    const std::vector<uint8_t>& image = sys.DurabilityAt(p).wal().image();
+    const WalImage& image = sys.DurabilityAt(p).wal().image();
     const uint64_t durable_bytes = cut.partitions[p].durable_bytes;
     TM2C_CHECK(durable_bytes <= image.size());
-    std::vector<uint8_t> surviving(image.begin(),
-                                   image.begin() + static_cast<size_t>(durable_bytes));
+    uint64_t surviving_bytes = durable_bytes;
     if (image.size() > durable_bytes) {
-      const uint32_t payload_len =
-          static_cast<uint32_t>(image[durable_bytes]) |
-          (static_cast<uint32_t>(image[durable_bytes + 1]) << 8) |
-          (static_cast<uint32_t>(image[durable_bytes + 2]) << 16) |
-          (static_cast<uint32_t>(image[durable_bytes + 3]) << 24);
+      uint8_t len[4];
+      image.CopyOut(durable_bytes, sizeof(len), len);
+      uint32_t payload_len = 0;
+      for (int i = 3; i >= 0; --i) {
+        payload_len = payload_len << 8 | len[i];
+      }
       const uint64_t frame = kWalFrameOverheadBytes + payload_len;
-      const uint64_t torn = 1 + rng.NextBelow(frame - 1);
-      surviving.insert(surviving.end(), image.begin() + static_cast<size_t>(durable_bytes),
-                       image.begin() + static_cast<size_t>(durable_bytes + torn));
+      surviving_bytes += 1 + rng.NextBelow(frame - 1);
     }
+    std::vector<uint8_t> surviving(surviving_bytes);
+    image.CopyOut(0, surviving_bytes, surviving.data());
     const WalReadResult parsed = ReadWal(surviving);
     if (parsed.bad_magic || parsed.crc_mismatch) {
       result->report.violations.push_back(OracleViolation{

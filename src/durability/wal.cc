@@ -17,11 +17,10 @@ uint32_t LoadU32(const uint8_t* p) {
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
+void StoreU32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
 }
 
 uint64_t LoadU64(const uint8_t* p) {
@@ -32,16 +31,17 @@ uint64_t LoadU64(const uint8_t* p) {
   return v;
 }
 
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
+void StoreU64(uint8_t* p, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
   }
 }
 
-}  // namespace
+constexpr uint32_t kCrc32Init = 0xFFFFFFFFu;
 
-uint32_t Crc32(const uint8_t* data, uint64_t size) {
-  // Table-driven CRC-32 (IEEE, reflected polynomial 0xEDB88320).
+// Table-driven CRC-32 (IEEE, reflected polynomial 0xEDB88320), continued
+// over one more byte range; Crc32 is Init, Update..., then XOR with Init.
+uint32_t Crc32Update(uint32_t crc, const uint8_t* data, uint64_t size) {
   static const auto table = [] {
     std::vector<uint32_t> t(256);
     for (uint32_t i = 0; i < 256; ++i) {
@@ -53,30 +53,40 @@ uint32_t Crc32(const uint8_t* data, uint64_t size) {
     }
     return t;
   }();
-  uint32_t crc = 0xFFFFFFFFu;
   for (uint64_t i = 0; i < size; ++i) {
     crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
   }
-  return crc ^ 0xFFFFFFFFu;
+  return crc;
 }
 
-WalReadResult ReadWal(const std::vector<uint8_t>& bytes) {
+// The one frame loop behind every ReadWal entry. `copy_out(offset, n, out)`
+// copies n image bytes starting at `offset` into `out`.
+template <typename CopyOut>
+WalReadResult ScanFrames(uint64_t size, CopyOut&& copy_out) {
   WalReadResult result;
-  if (bytes.size() < kWalHeaderBytes ||
-      std::memcmp(bytes.data(), kWalMagic, kWalHeaderBytes) != 0) {
+  if (size < kWalHeaderBytes) {
+    result.bad_magic = true;
+    return result;
+  }
+  uint8_t magic[kWalHeaderBytes];
+  copy_out(0, kWalHeaderBytes, magic);
+  if (std::memcmp(magic, kWalMagic, kWalHeaderBytes) != 0) {
     result.bad_magic = true;
     return result;
   }
   uint64_t offset = kWalHeaderBytes;
   result.valid_bytes = offset;
-  while (offset < bytes.size()) {
-    const uint64_t remaining = bytes.size() - offset;
+  std::vector<uint8_t> payload;
+  while (offset < size) {
+    const uint64_t remaining = size - offset;
     if (remaining < kWalFrameOverheadBytes) {
       result.torn_tail = true;
       break;
     }
-    const uint64_t len = LoadU32(bytes.data() + offset);
-    const uint32_t crc = LoadU32(bytes.data() + offset + 4);
+    uint8_t header[kWalFrameOverheadBytes];
+    copy_out(offset, kWalFrameOverheadBytes, header);
+    const uint64_t len = LoadU32(header);
+    const uint32_t crc = LoadU32(header + 4);
     if (len == 0 || len % sizeof(uint64_t) != 0) {
       // A complete header with an impossible length: corruption, not a
       // torn append (the writer never frames such a payload).
@@ -87,15 +97,16 @@ WalReadResult ReadWal(const std::vector<uint8_t>& bytes) {
       result.torn_tail = true;
       break;
     }
-    const uint8_t* payload = bytes.data() + offset + kWalFrameOverheadBytes;
-    if (Crc32(payload, len) != crc) {
+    payload.resize(len);
+    copy_out(offset + kWalFrameOverheadBytes, len, payload.data());
+    if (Crc32(payload.data(), len) != crc) {
       result.crc_mismatch = true;
       break;
     }
     WalRecord record;
     record.payload.reserve(len / sizeof(uint64_t));
     for (uint64_t w = 0; w < len / sizeof(uint64_t); ++w) {
-      record.payload.push_back(LoadU64(payload + w * sizeof(uint64_t)));
+      record.payload.push_back(LoadU64(payload.data() + w * sizeof(uint64_t)));
     }
     result.records.push_back(std::move(record));
     offset += kWalFrameOverheadBytes + len;
@@ -104,17 +115,71 @@ WalReadResult ReadWal(const std::vector<uint8_t>& bytes) {
   return result;
 }
 
-WalReadResult ReadWalFile(const std::string& path) {
-  std::vector<uint8_t> bytes;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    uint8_t buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
+}  // namespace
+
+uint32_t Crc32(const uint8_t* data, uint64_t size) {
+  return Crc32Update(kCrc32Init, data, size) ^ kCrc32Init;
+}
+
+void WalImage::CopyOut(uint64_t offset, uint64_t n, uint8_t* out) const {
+  TM2C_CHECK(offset + n <= size_);
+  ForEachPiece(offset, n, [&out](const uint8_t* data, uint64_t len) {
+    std::memcpy(out, data, len);
+    out += len;
+  });
+}
+
+uint8_t* WalImage::Tail() {
+  if (size_ == segments_.size() * kSegmentBytes) {
+    // Uninitialized on purpose: every byte is written before it is read.
+    segments_.emplace_back(new uint8_t[kSegmentBytes]);
+  }
+  return segments_[size_ / kSegmentBytes].get() + size_ % kSegmentBytes;
+}
+
+uint8_t* WalImage::AppendWord() {
+  TM2C_DCHECK(size_ % sizeof(uint64_t) == 0);
+  uint8_t* word = Tail();
+  size_ += sizeof(uint64_t);
+  return word;
+}
+
+void WalImage::AppendFile(std::FILE* file) {
+  for (;;) {
+    uint8_t* tail = Tail();
+    const uint64_t room = kSegmentBytes - size_ % kSegmentBytes;
+    const size_t n = std::fread(tail, 1, room, file);
+    size_ += n;
+    if (n < room) {
+      return;
     }
+  }
+}
+
+void WalImage::Clear() {
+  segments_.clear();
+  size_ = 0;
+}
+
+WalReadResult ReadWal(const WalImage& image) {
+  return ScanFrames(image.size(), [&image](uint64_t offset, uint64_t n, uint8_t* out) {
+    image.CopyOut(offset, n, out);
+  });
+}
+
+WalReadResult ReadWal(const std::vector<uint8_t>& bytes) {
+  return ScanFrames(bytes.size(), [&bytes](uint64_t offset, uint64_t n, uint8_t* out) {
+    std::memcpy(out, bytes.data() + offset, n);
+  });
+}
+
+WalReadResult ReadWalFile(const std::string& path) {
+  WalImage image;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    image.AppendFile(f);
     std::fclose(f);
   }
-  return ReadWal(bytes);
+  return ReadWal(image);
 }
 
 Wal::Wal(Options options) : options_(std::move(options)) { Init(); }
@@ -129,7 +194,7 @@ void Wal::RecoverBackingFile() {
     file_ = nullptr;
   }
   options_.recover_existing = true;
-  image_.clear();
+  image_.Clear();
   appended_records_ = 0;
   durable_records_ = 0;
   durable_bytes_ = kWalHeaderBytes;
@@ -145,8 +210,7 @@ void Wal::Init() {
                      "wal: refusing to recover over a corrupt (non-torn) log");
       // Keep exactly the valid prefix: rebuild the in-memory image from it
       // and cut any torn tail off the file before appending after it.
-      image_.resize(kWalHeaderBytes);
-      std::memcpy(image_.data(), kWalMagic, kWalHeaderBytes);
+      std::memcpy(image_.AppendWord(), kWalMagic, kWalHeaderBytes);
       for (const WalRecord& record : existing.records) {
         Append(record.payload.data(), record.payload.size());
       }
@@ -161,10 +225,7 @@ void Wal::Init() {
       return;
     }
   }
-  // resize+memcpy rather than insert: GCC 12's -Wstringop-overflow misfires
-  // on range-inserting a constant array into a fresh vector.
-  image_.resize(kWalHeaderBytes);
-  std::memcpy(image_.data(), kWalMagic, kWalHeaderBytes);
+  std::memcpy(image_.AppendWord(), kWalMagic, kWalHeaderBytes);
   if (!options_.path.empty()) {
     file_ = std::fopen(options_.path.c_str(), "wb");
     TM2C_CHECK_MSG(file_ != nullptr, "wal: could not open backing file");
@@ -180,22 +241,23 @@ Wal::~Wal() {
 
 uint64_t Wal::Append(const uint64_t* payload, uint64_t words) {
   TM2C_CHECK(words > 0);
-  std::vector<uint8_t> frame;
-  frame.reserve(kWalFrameOverheadBytes + words * sizeof(uint64_t));
-  AppendU32(&frame, static_cast<uint32_t>(words * sizeof(uint64_t)));
-  frame.resize(kWalFrameOverheadBytes);  // CRC patched below
+  const uint64_t frame_start = image_.size();
+  // The frame is encoded in place at the image's tail; the header's CRC
+  // half is filled in once the payload words are in.
+  uint8_t* header = image_.AppendWord();
+  StoreU32(header, static_cast<uint32_t>(words * sizeof(uint64_t)));
+  uint32_t crc = kCrc32Init;
   for (uint64_t w = 0; w < words; ++w) {
-    AppendU64(&frame, payload[w]);
+    uint8_t* word = image_.AppendWord();
+    StoreU64(word, payload[w]);
+    crc = Crc32Update(crc, word, sizeof(uint64_t));
   }
-  const uint32_t crc =
-      Crc32(frame.data() + kWalFrameOverheadBytes, words * sizeof(uint64_t));
-  frame[4] = static_cast<uint8_t>(crc);
-  frame[5] = static_cast<uint8_t>(crc >> 8);
-  frame[6] = static_cast<uint8_t>(crc >> 16);
-  frame[7] = static_cast<uint8_t>(crc >> 24);
-  image_.insert(image_.end(), frame.begin(), frame.end());
+  StoreU32(header + 4, crc ^ kCrc32Init);
   if (file_ != nullptr) {
-    TM2C_CHECK(std::fwrite(frame.data(), 1, frame.size(), file_) == frame.size());
+    image_.ForEachPiece(frame_start, image_.size() - frame_start,
+                        [this](const uint8_t* data, uint64_t len) {
+                          TM2C_CHECK(std::fwrite(data, 1, len, file_) == len);
+                        });
   }
   return appended_records_++;
 }

@@ -5,8 +5,9 @@
 //
 //   [u32 payload_len_bytes][u32 crc32(payload)][payload: len/8 u64 words]
 //
-// The writer (Wal) always maintains the image in memory; an optional file
-// sink mirrors every append so the fsync path can be exercised for real.
+// The writer (Wal) always maintains the image in memory, in fixed-size
+// segments (WalImage); an optional file sink mirrors every append so the
+// fsync path can be exercised for real.
 // Flush() advances the durable watermark (durable_records / durable_bytes):
 // everything at or below the watermark is what a crash is allowed to keep,
 // everything above it is what a crash may lose. In fsync mode Flush() also
@@ -20,8 +21,10 @@
 #ifndef TM2C_SRC_DURABILITY_WAL_H_
 #define TM2C_SRC_DURABILITY_WAL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,12 +58,60 @@ struct WalReadResult {
   bool clean() const { return !crc_mismatch && !bad_magic; }
 };
 
+// A log image held in fixed-size segments. Growing it allocates one more
+// segment and never copies or frees what is already written, so a long
+// log neither doubles its footprint at a reallocation nor leaves freed
+// multi-megabyte buffers behind. A frame may straddle two segments.
+class WalImage {
+ public:
+  static constexpr uint64_t kSegmentBytes = 64 * 1024;
+  static_assert(kSegmentBytes % sizeof(uint64_t) == 0, "a segment holds whole words");
+
+  uint64_t size() const { return size_; }
+
+  // Copies bytes [offset, offset + n) of the image into `out`.
+  void CopyOut(uint64_t offset, uint64_t n, uint8_t* out) const;
+
+  // Calls fn(const uint8_t* data, uint64_t len) on each contiguous piece
+  // of bytes [offset, offset + n), in order.
+  template <typename Fn>
+  void ForEachPiece(uint64_t offset, uint64_t n, Fn&& fn) const {
+    while (n > 0) {
+      const uint64_t in_segment = offset % kSegmentBytes;
+      const uint64_t len = std::min(n, kSegmentBytes - in_segment);
+      fn(segments_[offset / kSegmentBytes].get() + in_segment, len);
+      offset += len;
+      n -= len;
+    }
+  }
+
+  // Appends 8 bytes and returns where they live. The image size must be a
+  // multiple of 8, as a writer's always is (header and frames are whole
+  // words): a segment holds whole words, so they are contiguous.
+  uint8_t* AppendWord();
+
+  // Appends the rest of `file`'s contents.
+  void AppendFile(std::FILE* file);
+
+  void Clear();
+
+ private:
+  // Room at the tail for at least one byte (a fresh segment when full).
+  uint8_t* Tail();
+
+  std::vector<std::unique_ptr<uint8_t[]>> segments_;
+  uint64_t size_ = 0;
+};
+
 // Scans a log image (see the framing above). Stops at the first torn or
-// corrupt frame; the records vector holds the valid prefix.
+// corrupt frame; the records vector holds the valid prefix. The flat-bytes
+// entry is for hand-made (torn or corrupted) images; both share one frame
+// loop.
+WalReadResult ReadWal(const WalImage& image);
 WalReadResult ReadWal(const std::vector<uint8_t>& bytes);
 
-// Reads `path` fully and scans it. A missing/unreadable file reads as an
-// empty image (bad_magic = true).
+// Reads `path` fully into a WalImage and scans it. A missing/unreadable
+// file reads as an empty image (bad_magic = true).
 WalReadResult ReadWalFile(const std::string& path);
 
 class Wal {
@@ -117,13 +168,13 @@ class Wal {
 
   // The full appended image, including not-yet-flushed frames. A crash at
   // the current moment keeps only the first durable_bytes() of it.
-  const std::vector<uint8_t>& image() const { return image_; }
+  const WalImage& image() const { return image_; }
 
  private:
   void Init();
 
   Options options_;
-  std::vector<uint8_t> image_;
+  WalImage image_;
   std::FILE* file_ = nullptr;
   uint64_t appended_records_ = 0;
   uint64_t durable_records_ = 0;

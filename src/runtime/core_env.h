@@ -57,8 +57,15 @@ class CoreEnv {
   // it (the paper's system has no global clock).
   virtual SimTime GlobalNow() const = 0;
 
-  // Spends `core_cycles` of local computation.
+  // Spends `core_cycles` of local computation: a real wait on every
+  // backend. Application work, test delays and retry backoffs use it.
   virtual void Compute(uint64_t core_cycles) = 0;
+
+  // The modelled cost of work the core really performs (service
+  // processing, log append and flush, persist, multitask switch). The
+  // simulator advances time exactly as Compute does; a native core has
+  // already spent the real time doing the work, so it charges nothing.
+  virtual void Charge(uint64_t /*core_cycles*/) {}
 
   // Word-granularity access to the non-coherent shared memory, paying the
   // memory latency plus memory-controller queueing.

@@ -89,6 +89,8 @@ class SimSystem::Core : public CoreEnv {
     }
   }
 
+  void Charge(uint64_t core_cycles) override { Compute(core_cycles); }
+
   uint64_t ShmemRead(uint64_t addr) override {
     WaitForMemory(addr);
     return sys_->shmem_->LoadWord(addr);

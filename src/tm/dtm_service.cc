@@ -102,7 +102,7 @@ void DtmService::ChargeProcessing(uint64_t items) {
   // (drives the service saturation behaviour of Figure 5(b)).
   constexpr uint64_t kServiceBaseCycles = 120;
   constexpr uint64_t kServicePerItemCycles = 40;
-  env_.Compute(kServiceBaseCycles + kServicePerItemCycles * items);
+  env_.Charge(kServiceBaseCycles + kServicePerItemCycles * items);
 }
 
 void DtmService::NotifyVictims(const std::vector<Victim>& victims) {
@@ -291,7 +291,7 @@ void DtmService::HandleCommitLog(const Message& msg) {
   // Append cost: the record's framed payload, word by word, charged on
   // the service core (calibrated with the flush costs in FlushCommitLog).
   constexpr uint64_t kLogAppendCyclesPerWord = 30;
-  env_.Compute(kLogAppendCyclesPerWord * (3 + msg.extra.size()));
+  env_.Charge(kLogAppendCyclesPerWord * (3 + msg.extra.size()));
 
   if (config_.fault == FaultMode::kAckBeforeLogFlush) {
     // Planted fault (verification only): acknowledge against the volatile
@@ -333,8 +333,8 @@ void DtmService::FlushCommitLog() {
     // accident: an fsync is ~a disk round trip.
     constexpr uint64_t kLogFlushBufferedCycles = 400;
     constexpr uint64_t kLogFlushFsyncCycles = 20000;
-    env_.Compute(durability_->mode() == DurabilityMode::kFsync ? kLogFlushFsyncCycles
-                                                               : kLogFlushBufferedCycles);
+    env_.Charge(durability_->mode() == DurabilityMode::kFsync ? kLogFlushFsyncCycles
+                                                              : kLogFlushBufferedCycles);
   }
   for (const PendingAck& ack : pending_acks_) {
     SendCommitLogAck(ack.core, ack.epoch, ack.record_index);

@@ -191,7 +191,7 @@ void TxRuntime::DispatchInbox(const Message& msg) {
       break;
   }
   if (local_service_ != nullptr) {
-    env_.Compute(kMultitaskSwitchCycles);  // coroutine switch
+    env_.Charge(kMultitaskSwitchCycles);  // coroutine switch
     if (local_service_->HandleMessage(msg)) {
       return;  // multitasked deployment: served a DTM request (Figure 2)
     }
@@ -562,7 +562,7 @@ Message TxRuntime::SendRequest(uint32_t dst, Message msg) {
     // Multitasked deployment: this core is its own responsible node.
     TM2C_CHECK_MSG(local_service_ != nullptr, "self-addressed request without a local service");
     msg.src = env_.core_id();
-    env_.Compute(kMultitaskSwitchCycles);  // coroutine switch
+    env_.Charge(kMultitaskSwitchCycles);  // coroutine switch
     return local_service_->HandleLocal(msg);
   }
   env_.Send(dst, std::move(msg));
@@ -886,7 +886,7 @@ void TxRuntime::TxCommit() {
   }
   EndPersist(env_.shmem(), status_addr, prior_status);
   // Charge the persist time after the fact (idempotence-free: no re-store).
-  env_.Compute(env_.platform().mem_latency_cycles * write_order_.size());
+  env_.Charge(env_.platform().mem_latency_cycles * write_order_.size());
 
   // Durability: the persisted write set becomes a commit-log record on
   // every owner partition BEFORE any lock is released. The acks gate the

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,6 +25,34 @@ namespace {
 // WAL framing
 // ---------------------------------------------------------------------------
 
+std::vector<uint8_t> Flatten(const WalImage& image) {
+  std::vector<uint8_t> bytes(image.size());
+  image.CopyOut(0, bytes.size(), bytes.data());
+  return bytes;
+}
+
+// The payload of record `i`: 11 words by default, a 96-byte frame like a
+// 4-pair commit record's.
+std::vector<uint64_t> Payload(uint64_t i, uint64_t words = 11) {
+  std::vector<uint64_t> payload(words);
+  for (uint64_t w = 0; w < words; ++w) {
+    payload[w] = i * 1000 + w;
+  }
+  return payload;
+}
+
+// Appends records until the next one would straddle the first segment
+// boundary; returns how many were appended.
+uint64_t FillFirstSegment(Wal* wal) {
+  const uint64_t frame = kWalFrameOverheadBytes + 11 * sizeof(uint64_t);
+  uint64_t n = 0;
+  while (wal->image().size() + frame <= WalImage::kSegmentBytes) {
+    wal->Append(Payload(n).data(), 11);
+    ++n;
+  }
+  return n;
+}
+
 TEST(Wal, EmptyLogIsCleanAndHoldsOnlyTheHeader) {
   Wal wal(Wal::Options{});
   EXPECT_EQ(wal.image().size(), kWalHeaderBytes);
@@ -36,8 +66,8 @@ TEST(Wal, EmptyLogIsCleanAndHoldsOnlyTheHeader) {
 }
 
 TEST(Wal, MissingOrWrongMagicIsBadMagic) {
-  EXPECT_TRUE(ReadWal({}).bad_magic);
-  EXPECT_TRUE(ReadWal({'T', 'M'}).bad_magic);
+  EXPECT_TRUE(ReadWal(std::vector<uint8_t>{}).bad_magic);
+  EXPECT_TRUE(ReadWal(std::vector<uint8_t>{'T', 'M'}).bad_magic);
   std::vector<uint8_t> wrong(kWalHeaderBytes, 0x42);
   EXPECT_TRUE(ReadWal(wrong).bad_magic);
 }
@@ -63,23 +93,29 @@ TEST(Wal, AppendedRecordsReadBackInOrder) {
 }
 
 TEST(Wal, TornFinalRecordKeepsThePrefix) {
-  Wal wal(Wal::Options{});
-  const uint64_t a[] = {10, 11};
-  const uint64_t b[] = {20, 21, 22};
-  wal.Append(a, 2);
-  const uint64_t prefix_bytes = wal.image().size();
-  wal.Append(b, 3);
+  // The final frame sits inside the first segment, or straddles the
+  // boundary into the second.
+  for (const bool straddle : {false, true}) {
+    Wal wal(Wal::Options{});
+    const uint64_t a[] = {10, 11};
+    wal.Append(a, 2);
+    const uint64_t kept = 1 + (straddle ? FillFirstSegment(&wal) : 0);
+    const uint64_t prefix_bytes = wal.image().size();
+    wal.Append(Payload(kept).data(), 11);
+    ASSERT_EQ(wal.image().size() > WalImage::kSegmentBytes, straddle);
 
-  // Cut the image anywhere strictly inside the second frame: incomplete
-  // header and incomplete payload are both torn tails, never corruption.
-  for (uint64_t cut = prefix_bytes + 1; cut < wal.image().size(); ++cut) {
-    std::vector<uint8_t> torn(wal.image().begin(), wal.image().begin() + cut);
-    const WalReadResult r = ReadWal(torn);
-    EXPECT_TRUE(r.clean()) << "cut at " << cut;
-    EXPECT_TRUE(r.torn_tail) << "cut at " << cut;
-    ASSERT_EQ(r.records.size(), 1u) << "cut at " << cut;
-    EXPECT_EQ(r.records[0].payload, (std::vector<uint64_t>{10, 11}));
-    EXPECT_EQ(r.valid_bytes, prefix_bytes) << "cut at " << cut;
+    // Cut the image anywhere strictly inside the final frame: incomplete
+    // header and incomplete payload are both torn tails, never corruption.
+    const std::vector<uint8_t> whole = Flatten(wal.image());
+    for (uint64_t cut = prefix_bytes + 1; cut < whole.size(); ++cut) {
+      const std::vector<uint8_t> torn(whole.begin(), whole.begin() + cut);
+      const WalReadResult r = ReadWal(torn);
+      EXPECT_TRUE(r.clean()) << "cut at " << cut;
+      EXPECT_TRUE(r.torn_tail) << "cut at " << cut;
+      ASSERT_EQ(r.records.size(), kept) << "cut at " << cut;
+      EXPECT_EQ(r.records[0].payload, (std::vector<uint64_t>{10, 11}));
+      EXPECT_EQ(r.valid_bytes, prefix_bytes) << "cut at " << cut;
+    }
   }
 }
 
@@ -94,7 +130,7 @@ TEST(Wal, CorruptByteAnywhereInAFrameIsCaught) {
   // Flip one bit at a sweep of offsets inside the first frame: the scan
   // must stop there (crc/length mismatch) and keep zero records.
   for (uint64_t off = kWalHeaderBytes; off < first_frame_end; off += 3) {
-    std::vector<uint8_t> img = wal.image();
+    std::vector<uint8_t> img = Flatten(wal.image());
     img[off] ^= 0x40;
     const WalReadResult r = ReadWal(img);
     EXPECT_TRUE(r.bad_magic || r.crc_mismatch || r.torn_tail) << "offset " << off;
@@ -105,7 +141,7 @@ TEST(Wal, CorruptByteAnywhereInAFrameIsCaught) {
   }
 
   // A zero or non-word-multiple length field is corruption, not a tear.
-  std::vector<uint8_t> img = wal.image();
+  std::vector<uint8_t> img = Flatten(wal.image());
   img[kWalHeaderBytes] = 0;
   img[kWalHeaderBytes + 1] = 0;
   img[kWalHeaderBytes + 2] = 0;
@@ -129,6 +165,133 @@ TEST(Wal, FileBackedLogRoundTripsThroughFsync) {
   EXPECT_EQ(r.records[0].payload, (std::vector<uint64_t>{7, 8, 9}));
   EXPECT_TRUE(ReadWalFile(path + ".does-not-exist").bad_magic);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// WAL segments: the in-memory image grows in WalImage::kSegmentBytes pieces,
+// and a frame may straddle two of them.
+// ---------------------------------------------------------------------------
+
+TEST(WalSegments, RecordStraddlingASegmentBoundaryRoundTrips) {
+  Wal wal(Wal::Options{});
+  const uint64_t before = FillFirstSegment(&wal);
+  const uint64_t frame_start = wal.image().size();
+  wal.Append(Payload(before).data(), 11);
+  ASSERT_LT(frame_start, WalImage::kSegmentBytes);
+  ASSERT_GT(wal.image().size(), WalImage::kSegmentBytes);
+  wal.Flush();
+
+  const WalReadResult r = ReadWal(wal.image());
+  ASSERT_TRUE(r.clean());
+  EXPECT_FALSE(r.torn_tail);
+  ASSERT_EQ(r.records.size(), before + 1);
+  EXPECT_EQ(r.records.back().payload, Payload(before));
+  EXPECT_EQ(r.valid_bytes, wal.image().size());
+  EXPECT_EQ(wal.durable_bytes(), wal.image().size());
+}
+
+TEST(WalSegments, CrcFlipInTheSecondSegmentIsFlagged) {
+  const std::string path = testing::TempDir() + "/tm2c_wal_segments_crc.log";
+  Wal::Options opts;
+  opts.path = path;
+  Wal wal(opts);
+  const uint64_t frame = kWalFrameOverheadBytes + 11 * sizeof(uint64_t);
+  const uint64_t records = 2 * WalImage::kSegmentBytes / frame;
+  for (uint64_t i = 0; i < records; ++i) {
+    wal.Append(Payload(i).data(), 11);
+  }
+  wal.Flush();
+  // A payload byte of the first frame that starts past the boundary.
+  const uint64_t victim = WalImage::kSegmentBytes / frame + 1;
+  const uint64_t victim_start = kWalHeaderBytes + victim * frame;
+  ASSERT_GT(victim_start, WalImage::kSegmentBytes);
+  const uint64_t flip = victim_start + kWalFrameOverheadBytes + 13;
+
+  // Through the flat-bytes entry...
+  std::vector<uint8_t> img = Flatten(wal.image());
+  img[flip] ^= 0x40;
+  const WalReadResult flat = ReadWal(img);
+  EXPECT_TRUE(flat.crc_mismatch);
+  EXPECT_EQ(flat.records.size(), victim);
+  EXPECT_EQ(flat.valid_bytes, victim_start);
+
+  // ...and through a file read back into a segmented image.
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(flip), SEEK_SET), 0);
+  ASSERT_EQ(std::fputc(img[flip], f), img[flip]);
+  std::fclose(f);
+  const WalReadResult file = ReadWalFile(path);
+  EXPECT_TRUE(file.crc_mismatch);
+  EXPECT_EQ(file.records.size(), victim);
+  EXPECT_EQ(file.valid_bytes, victim_start);
+  std::remove(path.c_str());
+}
+
+TEST(WalSegments, RecoverExistingOverSeveralSegments) {
+  const std::string path = testing::TempDir() + "/tm2c_wal_segments_recover.log";
+  Wal::Options opts;
+  opts.path = path;
+  const uint64_t records = 2500;  // ~240 KB: four segments
+  uint64_t valid_bytes = 0;
+  {
+    Wal wal(opts);
+    for (uint64_t i = 0; i < records; ++i) {
+      wal.Append(Payload(i).data(), 11);
+    }
+    wal.Flush();
+    valid_bytes = wal.durable_bytes();
+    ASSERT_GT(valid_bytes, 3 * WalImage::kSegmentBytes);
+  }
+  // A torn append after the last flushed frame: a header and part of a
+  // payload.
+  {
+    std::FILE* f = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const uint8_t torn[12] = {88, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8};
+    ASSERT_EQ(std::fwrite(torn, 1, sizeof(torn), f), sizeof(torn));
+    std::fclose(f);
+  }
+  opts.recover_existing = true;
+  Wal wal(opts);
+  EXPECT_EQ(wal.recovered_records(), records);
+  EXPECT_EQ(wal.durable_records(), records);
+  EXPECT_EQ(wal.durable_bytes(), valid_bytes);
+  EXPECT_EQ(wal.image().size(), valid_bytes);
+  wal.Append(Payload(records).data(), 11);
+  wal.Flush();
+
+  const WalReadResult r = ReadWalFile(path);
+  ASSERT_TRUE(r.clean());
+  EXPECT_FALSE(r.torn_tail);
+  ASSERT_EQ(r.records.size(), records + 1);
+  EXPECT_EQ(r.records[1234].payload, Payload(1234));
+  EXPECT_EQ(r.records.back().payload, Payload(records));
+  const WalReadResult mem = ReadWal(wal.image());
+  ASSERT_EQ(mem.records.size(), records + 1);
+  EXPECT_EQ(mem.valid_bytes, r.valid_bytes);
+  std::remove(path.c_str());
+}
+
+TEST(WalSegments, ImageAndItsFlattenedBytesReadTheSame) {
+  Wal wal(Wal::Options{});
+  // Payloads of 1..40 words put frame edges at many offsets of each segment.
+  for (uint64_t i = 0; wal.image().size() < 3 * WalImage::kSegmentBytes; ++i) {
+    wal.Append(Payload(i, 1 + i % 40).data(), 1 + i % 40);
+  }
+  const WalReadResult segmented = ReadWal(wal.image());
+  const WalReadResult flat = ReadWal(Flatten(wal.image()));
+  EXPECT_TRUE(segmented.clean());
+  EXPECT_EQ(segmented.valid_bytes, wal.image().size());
+  EXPECT_EQ(segmented.valid_bytes, flat.valid_bytes);
+  EXPECT_EQ(segmented.torn_tail, flat.torn_tail);
+  EXPECT_EQ(segmented.crc_mismatch, flat.crc_mismatch);
+  EXPECT_EQ(segmented.bad_magic, flat.bad_magic);
+  ASSERT_EQ(segmented.records.size(), flat.records.size());
+  ASSERT_EQ(segmented.records.size(), wal.appended_records());
+  for (size_t i = 0; i < flat.records.size(); ++i) {
+    ASSERT_EQ(segmented.records[i].payload, flat.records[i].payload) << "record " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

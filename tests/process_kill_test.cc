@@ -11,11 +11,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "src/check/process_kill.h"
+#include "src/runtime/process_system.h"
+#include "src/shmem/abort_status.h"
 
 namespace tm2c {
 namespace {
@@ -36,6 +40,56 @@ void DumpOnFailure(const ProcessKillConfig& cfg, const ProcessKillResult& result
   std::ofstream out(path);
   out << result.history.ToJson();
   ADD_FAILURE() << "history dumped to " << path;
+}
+
+// Charge is free and Compute still waits on both kinds of process core:
+// the host-side app core and the forked partition server's service core.
+// The server reports its timings through the MAP_SHARED memory.
+TEST(ProcessSystem, ChargeReturnsAtOnceComputeStillWaitsOnBothCoreKinds) {
+  ProcessSystemConfig cfg;
+  cfg.platform = MakeSccPlatform(0);
+  cfg.num_cores = 2;
+  cfg.num_service = 1;
+  cfg.shmem_bytes = 1 << 16;
+  cfg.run_dir = FreshRunDir("charge");
+  ProcessSystem sys(cfg);
+  sys.SetAbortStatusBase(AllocAbortStatusWords(sys.allocator(), sys.shmem(), cfg.num_cores));
+  // Per core kind: [charge ns, compute ns], written as ns + 1 so 0 = unset.
+  const uint64_t results = sys.allocator().AllocGlobal(4 * kWordBytes);
+  for (uint64_t w = 0; w < 4; ++w) {
+    sys.shmem().StoreWord(results + w * kWordBytes, 0);
+  }
+  const auto time_both = [](CoreEnv& env, uint64_t slot) {
+    const SimTime t0 = HostNowPs();
+    env.Charge(533000000);  // 1 s modelled at 533 MHz
+    const SimTime t1 = HostNowPs();
+    env.Compute(533000);  // 1 ms
+    const SimTime t2 = HostNowPs();
+    env.ShmemWrite(slot, (t1 - t0) / kPicosPerNano + 1);
+    env.ShmemWrite(slot + kWordBytes, (t2 - t1) / kPicosPerNano + 1);
+  };
+  const uint32_t service = sys.deployment().ServiceCore(0);
+  const uint32_t app = sys.deployment().app_cores()[0];
+  sys.SetCoreMain(service, [&](CoreEnv& env) {
+    time_both(env, results);
+    while (env.Recv().type != MsgType::kShutdown) {
+    }
+  });
+  sys.SetCoreMain(app, [&](CoreEnv& env) {
+    time_both(env, results + 2 * kWordBytes);
+    while (env.ShmemRead(results + kWordBytes) == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    sys.RequestShutdown(service);
+  });
+  sys.Run(0);
+  for (uint64_t kind = 0; kind < 2; ++kind) {
+    const uint64_t charge_ns = sys.shmem().LoadWord(results + 2 * kind * kWordBytes) - 1;
+    const uint64_t compute_ns = sys.shmem().LoadWord(results + (2 * kind + 1) * kWordBytes) - 1;
+    const char* core = kind == 0 ? "service core" : "app core";
+    EXPECT_LT(charge_ns, 100'000'000u) << core;
+    EXPECT_GE(compute_ns, 1'000'000u) << core;
+  }
 }
 
 TEST(ProcessKill, KilledPartitionRecoversAcrossFiveSeeds) {

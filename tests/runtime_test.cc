@@ -154,6 +154,24 @@ TEST(SimSystem, ComputeAdvancesLocalTimeOnly) {
   EXPECT_NEAR(SimToMicros(spent), 1.0, 0.01);
 }
 
+TEST(SimSystem, ChargeAdvancesLocalTimeExactlyAsComputeDoes) {
+  SimSystem sys(SmallConfig());
+  SimTime charged = 0;
+  SimTime computed = 0;
+  sys.SetCoreMain(0, [&charged, &computed](CoreEnv& env) {
+    const SimTime start = env.LocalNow();
+    env.Charge(533);  // 533 cycles at 533 MHz = 1 us
+    const SimTime mid = env.LocalNow();
+    env.Compute(533);
+    charged = mid - start;
+    computed = env.LocalNow() - mid;
+  });
+  sys.Run();
+  EXPECT_EQ(charged, MakeSccPlatform(0).CoreCyclesToPs(533));
+  EXPECT_EQ(charged, computed);
+  EXPECT_NEAR(SimToMicros(charged), 1.0, 0.01);
+}
+
 TEST(SimSystem, LocalClockSkewIsStable) {
   SimSystemConfig cfg = SmallConfig();
   cfg.clock_skew_max_us = 100.0;

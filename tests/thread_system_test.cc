@@ -158,6 +158,28 @@ TEST(ThreadSystem, ShutdownArrivesAfterPendingRingTraffic) {
   EXPECT_EQ(drained.load(), 100u);
 }
 
+// A native core has already done the work a Charge models, so a second of
+// modelled cycles costs nothing; Compute (application work, backoffs) is
+// still a real wait.
+TEST(ThreadSystem, ChargeReturnsAtOnceComputeStillWaits) {
+  ThreadSystem sys(SmallConfig(2));
+  std::atomic<int64_t> charge_ns{-1};
+  std::atomic<int64_t> compute_ns{-1};
+  sys.SetCoreMain(0, [&charge_ns, &compute_ns](CoreEnv& env) {
+    const SimTime t0 = HostNowPs();
+    env.Charge(533000000);  // 1 s modelled at 533 MHz
+    const SimTime t1 = HostNowPs();
+    env.Compute(533000);  // 1 ms
+    const SimTime t2 = HostNowPs();
+    charge_ns = static_cast<int64_t>((t1 - t0) / kPicosPerNano);
+    compute_ns = static_cast<int64_t>((t2 - t1) / kPicosPerNano);
+  });
+  sys.RunToCompletion();
+  EXPECT_GE(charge_ns.load(), 0);
+  EXPECT_LT(charge_ns.load(), 100'000'000);
+  EXPECT_GE(compute_ns.load(), 1'000'000);
+}
+
 TEST(ThreadSystem, BarrierAndShmem) {
   ThreadSystem sys(SmallConfig(4));
   for (uint32_t c = 0; c < 4; ++c) {
