@@ -91,9 +91,9 @@ inline TmSystemConfig MakeConfig(const RunSpec& spec) {
   cfg.tm.pipeline_depth = spec.pipeline_depth;
   cfg.tm.local_fast_path = spec.local_fast_path;
   cfg.backend = spec.backend;
-  cfg.pin_threads = spec.pin_threads;
+  cfg.sim.pin_threads = spec.pin_threads;
   if (spec.backend == BackendKind::kProcesses) {
-    cfg.run_dir = FreshProcessRunDir();
+    cfg.sim.run_dir = FreshProcessRunDir();
   }
   return cfg;
 }
@@ -328,14 +328,13 @@ class BenchContext {
   }
 
   // Generic sweep over any dimension: --smoke keeps only the first point.
-  // (Built by hand rather than via resize(1): GCC 12's -O2 array-bounds
-  // checker reports a false positive through vector::resize shrinkage.)
+  // (Trimmed with erase: GCC 12 reports false positives through both
+  // resize(1) shrinkage (-O2 array-bounds) and a push_back into a fresh
+  // vector (-Wnonnull under -fsanitize=thread).)
   template <typename T>
   std::vector<T> Sweep(std::vector<T> def) const {
     if (opts_.smoke && def.size() > 1) {
-      std::vector<T> first;
-      first.push_back(std::move(def.front()));
-      return first;
+      def.erase(def.begin() + 1, def.end());
     }
     return def;
   }
@@ -470,7 +469,7 @@ struct EchoResult {
 
 inline EchoResult RunEchoWorkload(const PlatformDesc& platform, uint32_t num_cores,
                                   uint32_t num_service, int echoes_per_core, uint64_t seed) {
-  SimSystemConfig cfg;
+  SystemConfig cfg;
   cfg.platform = platform;
   cfg.num_cores = num_cores;
   cfg.num_service = num_service;

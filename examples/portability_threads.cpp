@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   TmSystemConfig config;
   config.backend = BackendKind::kThreads;
-  config.pin_threads = pin;
+  config.sim.pin_threads = pin;
   config.sim.platform = MakeOpteronPlatform();
   config.sim.num_cores = static_cast<uint32_t>(cores);
   config.sim.num_service = static_cast<uint32_t>(service_cores);

@@ -23,7 +23,7 @@ ProcessKillResult RunProcessKillWorkload(const ProcessKillConfig& cfg) {
 
   TmSystemConfig sys_cfg;
   sys_cfg.backend = BackendKind::kProcesses;
-  sys_cfg.run_dir = cfg.run_dir;
+  sys_cfg.sim.run_dir = cfg.run_dir;
   sys_cfg.sim.platform = MakeOpteronPlatform();
   sys_cfg.sim.num_cores = cfg.num_cores;
   sys_cfg.sim.num_service = cfg.num_service;

@@ -47,25 +47,35 @@ void PartitionDurability::SealInitialCheckpoint() {
   checkpoints_.push_back(std::move(image));
 }
 
-bool PartitionDurability::LogCommit(uint32_t core, uint64_t epoch,
-                                    const std::vector<std::pair<uint64_t, uint64_t>>& pairs) {
-  TM2C_CHECK(!pairs.empty());
-  std::vector<uint64_t> payload;
-  payload.reserve(3 + 2 * pairs.size());
-  payload.push_back(core);
-  payload.push_back(epoch);
-  payload.push_back(pairs.size());
-  for (const auto& [addr, value] : pairs) {
-    payload.push_back(addr);
-    payload.push_back(value);
-    shadow_[addr] = value;
+bool PartitionDurability::LogCommit(uint32_t core, uint64_t epoch, const uint64_t* words,
+                                    size_t num_words) {
+  TM2C_CHECK(num_words >= 2 && num_words % 2 == 0);
+  const uint64_t header[3] = {core, epoch, num_words / 2};
+  for (size_t i = 0; i < num_words; i += 2) {
+    shadow_[words[i]] = words[i + 1];
   }
-  const uint64_t record_index = wal_.Append(payload.data(), payload.size());
+  const uint64_t record_index = wal_.Append(header, 3, words, num_words);
   if (trace_ != nullptr) {
+    std::vector<std::pair<uint64_t, uint64_t>> pairs;
+    pairs.reserve(num_words / 2);
+    for (size_t i = 0; i < num_words; i += 2) {
+      pairs.emplace_back(words[i], words[i + 1]);
+    }
     trace_->OnWalAppend(partition_, core, epoch, record_index, pairs);
   }
   return options_.checkpoint_every_records > 0 &&
          wal_.appended_records() % options_.checkpoint_every_records == 0;
+}
+
+bool PartitionDurability::LogCommit(uint32_t core, uint64_t epoch,
+                                    const std::vector<std::pair<uint64_t, uint64_t>>& pairs) {
+  std::vector<uint64_t> words;
+  words.reserve(2 * pairs.size());
+  for (const auto& [addr, value] : pairs) {
+    words.push_back(addr);
+    words.push_back(value);
+  }
+  return LogCommit(core, epoch, words.data(), words.size());
 }
 
 uint64_t PartitionDurability::Flush() {

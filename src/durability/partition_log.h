@@ -73,9 +73,12 @@ class PartitionDurability {
   // pre-run baseline, not a runtime durability action).
   void SealInitialCheckpoint();
 
-  // Appends one commit record (emits OnWalAppend). Returns true when a
-  // periodic checkpoint is due — the caller must Flush() first, then
-  // TakeCheckpoint().
+  // Appends one commit record (emits OnWalAppend) from `num_words` flat
+  // words [addr, value, addr, value, ...], the layout a kCommitLog
+  // carries. Returns true when a periodic checkpoint is due — the caller
+  // must Flush() first, then TakeCheckpoint().
+  bool LogCommit(uint32_t core, uint64_t epoch, const uint64_t* words, size_t num_words);
+  // The same record from (addr, value) pairs, for hand-built logs.
   bool LogCommit(uint32_t core, uint64_t epoch,
                  const std::vector<std::pair<uint64_t, uint64_t>>& pairs);
 

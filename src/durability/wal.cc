@@ -239,7 +239,9 @@ Wal::~Wal() {
   }
 }
 
-uint64_t Wal::Append(const uint64_t* payload, uint64_t words) {
+uint64_t Wal::Append(const uint64_t* head, uint64_t head_words, const uint64_t* body,
+                     uint64_t body_words) {
+  const uint64_t words = head_words + body_words;
   TM2C_CHECK(words > 0);
   const uint64_t frame_start = image_.size();
   // The frame is encoded in place at the image's tail; the header's CRC
@@ -247,11 +249,15 @@ uint64_t Wal::Append(const uint64_t* payload, uint64_t words) {
   uint8_t* header = image_.AppendWord();
   StoreU32(header, static_cast<uint32_t>(words * sizeof(uint64_t)));
   uint32_t crc = kCrc32Init;
-  for (uint64_t w = 0; w < words; ++w) {
-    uint8_t* word = image_.AppendWord();
-    StoreU64(word, payload[w]);
-    crc = Crc32Update(crc, word, sizeof(uint64_t));
-  }
+  const auto append_words = [this, &crc](const uint64_t* src, uint64_t n) {
+    for (uint64_t w = 0; w < n; ++w) {
+      uint8_t* word = image_.AppendWord();
+      StoreU64(word, src[w]);
+      crc = Crc32Update(crc, word, sizeof(uint64_t));
+    }
+  };
+  append_words(head, head_words);
+  append_words(body, body_words);
   StoreU32(header + 4, crc ^ kCrc32Init);
   if (file_ != nullptr) {
     image_.ForEachPiece(frame_start, image_.size() - frame_start,

@@ -137,8 +137,11 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  // Appends one framed record; returns its zero-based record index.
-  uint64_t Append(const uint64_t* payload, uint64_t words);
+  // Appends one framed record whose payload is `head` followed by `body`
+  // (gathered straight into the image, so a caller with a separate header
+  // copies nothing); returns its zero-based record index.
+  uint64_t Append(const uint64_t* head, uint64_t head_words, const uint64_t* body = nullptr,
+                  uint64_t body_words = 0);
 
   // Makes every appended record durable: flushes (and in fsync mode syncs)
   // the backing file and advances the durable watermark.

@@ -4,9 +4,10 @@
 // managers) and all applications are written against CoreEnv, which exposes
 // exactly the primitives the paper's many-core model provides: reliable
 // asynchronous message passing, a local (possibly skewed) clock, local
-// computation, and non-coherent shared memory. Two implementations exist:
-// the deterministic discrete-event simulator backend (SimSystem) and a real
-// std::thread backend (ThreadSystem) demonstrating the Section 7 port.
+// computation, and non-coherent shared memory. The deterministic
+// discrete-event simulator (SimSystem) implements it, and so do the native
+// cores of the Section 7 port (threads, and the process backend's app and
+// service cores), which share one HostCore (src/runtime/host_core.h).
 #ifndef TM2C_SRC_RUNTIME_CORE_ENV_H_
 #define TM2C_SRC_RUNTIME_CORE_ENV_H_
 

@@ -19,9 +19,9 @@
 namespace tm2c {
 namespace {
 
-// Compute always spins in its oversubscribed flavour here: app threads,
-// router threads and the partition server processes together far exceed
-// the host CPUs.
+// Every core waits in its oversubscribed flavour here: app threads, router
+// threads and the partition server processes together far exceed the host
+// CPUs.
 constexpr bool kOversubscribed = true;
 
 // Streams a whole buffer into a socket. Failures (EPIPE against a killed
@@ -81,19 +81,15 @@ bool CarriesEpoch(MsgType type) {
 // Messages to a service core leave through the partition's socket;
 // messages to another app core (the privatization barrier tokens) land in
 // its mailbox directly.
-class ProcessSystem::AppCore : public CoreEnv {
+class ProcessSystem::AppCore final : public HostCore {
  public:
-  AppCore(ProcessSystem* sys, uint32_t id) : sys_(sys), id_(id) {}
-
-  uint32_t core_id() const override { return id_; }
-  const DeploymentPlan& plan() const override { return sys_->plan_; }
-  const PlatformDesc& platform() const override { return sys_->config_.platform; }
+  AppCore(ProcessSystem* sys, uint32_t id) : HostCore(sys, id, kOversubscribed), sys_(sys) {}
 
   void Send(uint32_t dst, Message msg) override {
-    TM2C_CHECK(dst < sys_->plan_.num_cores());
-    msg.src = id_;
-    if (sys_->plan_.IsService(dst)) {
-      sys_->SendToPartition(id_, dst, std::move(msg));
+    TM2C_CHECK(dst < sys_->deployment().num_cores());
+    msg.src = core_id();
+    if (sys_->deployment().IsService(dst)) {
+      sys_->SendToPartition(core_id(), dst, std::move(msg));
       return;
     }
     sys_->DeliverToApp(dst, std::move(msg));
@@ -103,41 +99,17 @@ class ProcessSystem::AppCore : public CoreEnv {
   bool TryRecv(Message* out) override { return mailbox_.TryPop(out); }
   size_t InboxDepth() const override { return mailbox_.Size(); }
 
-  SimTime LocalNow() const override { return HostNowPs(); }
-  SimTime GlobalNow() const override { return HostNowPs(); }
-  void Compute(uint64_t core_cycles) override {
-    ComputeSpin(platform(), core_cycles, kOversubscribed);
-  }
-
-  uint64_t ShmemRead(uint64_t addr) override { return sys_->shmem_->LoadWord(addr); }
-  void ShmemWrite(uint64_t addr, uint64_t value) override {
-    sys_->shmem_->StoreWord(addr, value);
-  }
-  bool ShmemTestAndSet(uint64_t addr) override { return sys_->shmem_->CasWord(addr, 0, 1); }
-  void ShmemBulkAccess(uint64_t /*addr*/, uint64_t /*bytes*/) override {}
-
   void Barrier() override {
     // Over the app cores only: partition servers never rendezvous (their
     // loops are pure request/response), and the dedicated deployment is
     // the only one this backend supports.
-    uint32_t rounds = 0;
-    sys_->barrier_.Arrive(sys_->plan_.num_app(), [&rounds]() {
-      if (++rounds < 64) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    });
+    sys_->barrier_.Arrive(sys_->deployment().num_app(), kOversubscribed);
   }
-
-  SharedMemory& shmem() override { return *sys_->shmem_; }
-  ShmAllocator& allocator() override { return *sys_->allocator_; }
 
   void MailboxPush(Message msg) { mailbox_.Push(std::move(msg)); }
 
  private:
   ProcessSystem* sys_;
-  uint32_t id_;
   MutexMailbox mailbox_;
 };
 
@@ -146,21 +118,17 @@ class ProcessSystem::AppCore : public CoreEnv {
 // frames are encoded straight back onto it. Constructed host-side before
 // the fork so DtmService can bind its CoreEnv reference; only the child
 // ever calls its methods.
-class ProcessSystem::ServiceCore : public CoreEnv {
+class ProcessSystem::ServiceCore final : public HostCore {
  public:
-  ServiceCore(ProcessSystem* sys, uint32_t id) : sys_(sys), id_(id) {}
+  ServiceCore(ProcessSystem* sys, uint32_t id) : HostCore(sys, id, kOversubscribed) {}
 
   void Activate(int fd) { fd_ = fd; }
 
-  uint32_t core_id() const override { return id_; }
-  const DeploymentPlan& plan() const override { return sys_->plan_; }
-  const PlatformDesc& platform() const override { return sys_->config_.platform; }
-
   void Send(uint32_t dst, Message msg) override {
     if (dst != kWireHostDst) {
-      TM2C_CHECK(dst < sys_->plan_.num_cores());
+      TM2C_CHECK(dst < plan().num_cores());
     }
-    msg.src = id_;
+    msg.src = core_id();
     WriteFrame(fd_, dst, msg);
   }
 
@@ -191,23 +159,7 @@ class ProcessSystem::ServiceCore : public CoreEnv {
   // racy ring snapshot): bytes still in the socket buffer are not counted.
   size_t InboxDepth() const override { return inbox_.size(); }
 
-  SimTime LocalNow() const override { return HostNowPs(); }
-  SimTime GlobalNow() const override { return HostNowPs(); }
-  void Compute(uint64_t core_cycles) override {
-    ComputeSpin(platform(), core_cycles, kOversubscribed);
-  }
-
-  uint64_t ShmemRead(uint64_t addr) override { return sys_->shmem_->LoadWord(addr); }
-  void ShmemWrite(uint64_t addr, uint64_t value) override {
-    sys_->shmem_->StoreWord(addr, value);
-  }
-  bool ShmemTestAndSet(uint64_t addr) override { return sys_->shmem_->CasWord(addr, 0, 1); }
-  void ShmemBulkAccess(uint64_t /*addr*/, uint64_t /*bytes*/) override {}
-
   void Barrier() override { TM2C_FATAL("partition servers have no barrier"); }
-
-  SharedMemory& shmem() override { return *sys_->shmem_; }
-  ShmAllocator& allocator() override { return *sys_->allocator_; }
 
  private:
   void ReadMore(bool blocking) {
@@ -236,35 +188,34 @@ class ProcessSystem::ServiceCore : public CoreEnv {
         return;
       }
       TM2C_CHECK_MSG(status == WireDecodeStatus::kOk, "corrupt frame from the host");
-      TM2C_CHECK_MSG(dst == id_, "frame routed to the wrong partition server");
+      TM2C_CHECK_MSG(dst == core_id(), "frame routed to the wrong partition server");
       inbox_.push_back(std::move(msg));
     }
   }
 
-  ProcessSystem* sys_;
-  uint32_t id_;
   int fd_ = -1;
   WireDecoder decoder_;
   std::deque<Message> inbox_;
 };
 
-ProcessSystem::ProcessSystem(ProcessSystemConfig config)
-    : config_(std::move(config)),
-      plan_(config_.num_cores, config_.num_service, DeployStrategy::kDedicated) {
-  TM2C_CHECK_MSG(!config_.run_dir.empty(), "the process backend needs run_dir for its sockets");
-  shmem_ = std::make_unique<SharedMemory>(config_.shmem_bytes, /*interprocess=*/true);
-  allocator_ = std::make_unique<ShmAllocator>(shmem_.get(), Topology(config_.platform));
-  mains_.resize(config_.num_cores);
-  app_cores_.resize(config_.num_cores);
-  service_cores_.resize(config_.num_cores);
-  for (uint32_t c = 0; c < config_.num_cores; ++c) {
-    if (plan_.IsService(c)) {
+ProcessSystem::ProcessSystem(SystemConfig sys_config)
+    : SystemBackend(std::move(sys_config), /*interprocess=*/true) {
+  TM2C_CHECK_MSG(deployment().strategy() == DeployStrategy::kDedicated,
+                 "the process backend is dedicated-only (a partition server "
+                 "process cannot interleave an application task)");
+  TM2C_CHECK_MSG(!config().run_dir.empty(), "the process backend needs run_dir for its sockets");
+  const uint32_t n = deployment().num_cores();
+  mains_.resize(n);
+  app_cores_.resize(n);
+  service_cores_.resize(n);
+  for (uint32_t c = 0; c < n; ++c) {
+    if (deployment().IsService(c)) {
       service_cores_[c] = std::make_unique<ServiceCore>(this, c);
     } else {
       app_cores_[c] = std::make_unique<AppCore>(this, c);
     }
   }
-  for (uint32_t p = 0; p < config_.num_service; ++p) {
+  for (uint32_t p = 0; p < deployment().num_service(); ++p) {
     conns_.push_back(std::make_unique<Connection>());
   }
 }
@@ -297,7 +248,7 @@ void ProcessSystem::SetCoreMain(uint32_t core, CoreMain main) {
 }
 
 CoreEnv& ProcessSystem::env(uint32_t core) {
-  TM2C_CHECK(core < config_.num_cores);
+  TM2C_CHECK(core < deployment().num_cores());
   if (app_cores_[core] != nullptr) {
     return *app_cores_[core];
   }
@@ -305,7 +256,7 @@ CoreEnv& ProcessSystem::env(uint32_t core) {
 }
 
 std::string ProcessSystem::SocketPath(uint32_t partition, uint32_t generation) const {
-  return config_.run_dir + "/part" + std::to_string(partition) + ".g" +
+  return config().run_dir + "/part" + std::to_string(partition) + ".g" +
          std::to_string(generation) + ".sock";
 }
 
@@ -363,7 +314,7 @@ void ProcessSystem::ChildMain(uint32_t partition, uint32_t generation, int contr
   }
   ::close(listen_fd);
 
-  const uint32_t core = plan_.ServiceCore(partition);
+  const uint32_t core = deployment().ServiceCore(partition);
   ServiceCore& env = *service_cores_[core];
   env.Activate(conn_fd);
   if (child_start_) {
@@ -386,7 +337,7 @@ SimTime ProcessSystem::Run(SimTime /*until*/) {
   // The parent writes into sockets whose server may be freshly killed;
   // losing those bytes is handled explicitly, dying on SIGPIPE is not.
   ::signal(SIGPIPE, SIG_IGN);
-  ::mkdir(config_.run_dir.c_str(), 0755);  // EEXIST is fine
+  ::mkdir(config().run_dir.c_str(), 0755);  // EEXIST is fine
 
   if (pre_fork_) {
     pre_fork_();
@@ -394,11 +345,11 @@ SimTime ProcessSystem::Run(SimTime /*until*/) {
   // Fork every server — one primary plus one cold standby per partition —
   // while the host is still single-threaded, so the children inherit a
   // quiescent copy of the pre-run state.
-  for (uint32_t p = 0; p < config_.num_service; ++p) {
+  for (uint32_t p = 0; p < deployment().num_service(); ++p) {
     conns_[p]->servers.push_back(ForkServer(p, 0));
     conns_[p]->servers.push_back(ForkServer(p, 1));
   }
-  for (uint32_t p = 0; p < config_.num_service; ++p) {
+  for (uint32_t p = 0; p < deployment().num_service(); ++p) {
     const char go = 'p';
     ssize_t n;
     do {
@@ -406,17 +357,17 @@ SimTime ProcessSystem::Run(SimTime /*until*/) {
     } while (n < 0 && errno == EINTR);
     TM2C_CHECK(n == 1);
   }
-  for (uint32_t p = 0; p < config_.num_service; ++p) {
+  for (uint32_t p = 0; p < deployment().num_service(); ++p) {
     conns_[p]->fd = ConnectWithRetry(SocketPath(p, 0));
     conns_[p]->up = true;
   }
-  for (uint32_t p = 0; p < config_.num_service; ++p) {
+  for (uint32_t p = 0; p < deployment().num_service(); ++p) {
     conns_[p]->router = std::thread([this, p]() { RouterLoop(p); });
   }
 
   std::vector<std::thread> app_threads;
-  app_threads.reserve(plan_.num_app());
-  for (uint32_t core : plan_.app_cores()) {
+  app_threads.reserve(deployment().num_app());
+  for (uint32_t core : deployment().app_cores()) {
     app_threads.emplace_back([this, core]() {
       if (mains_[core]) {
         mains_[core](*app_cores_[core]);
@@ -447,15 +398,15 @@ SimTime ProcessSystem::Run(SimTime /*until*/) {
 }
 
 void ProcessSystem::RequestShutdown(uint32_t core) {
-  TM2C_CHECK(core < config_.num_cores);
+  TM2C_CHECK(core < deployment().num_cores());
   Message msg;
   msg.type = MsgType::kShutdown;
   msg.src = core;
-  if (plan_.IsApp(core)) {
+  if (deployment().IsApp(core)) {
     DeliverToApp(core, std::move(msg));
     return;
   }
-  Connection& c = *conns_[plan_.PartitionOf(core)];
+  Connection& c = *conns_[deployment().PartitionOf(core)];
   std::unique_lock<std::mutex> lock(c.mu);
   while (!c.up) {
     c.cv.wait(lock);  // a restart in flight finishes first
@@ -492,7 +443,7 @@ std::vector<uint64_t> ProcessSystem::host_stats(uint32_t partition) {
 }
 
 void ProcessSystem::SendToPartition(uint32_t src_core, uint32_t dst_core, Message msg) {
-  Connection& c = *conns_[plan_.PartitionOf(dst_core)];
+  Connection& c = *conns_[deployment().PartitionOf(dst_core)];
   std::unique_lock<std::mutex> lock(c.mu);
   if (CarriesEpoch(msg.type)) {
     uint64_t& last = c.last_epoch[src_core];
@@ -624,7 +575,7 @@ Message ProcessSystem::SynthesizeRefusal(uint32_t service_core, const Message& r
 
 void ProcessSystem::RestartPartition(uint32_t partition) {
   Connection& c = *conns_[partition];
-  const uint32_t service_core = plan_.ServiceCore(partition);
+  const uint32_t service_core = deployment().ServiceCore(partition);
   std::unique_lock<std::mutex> lock(c.mu);
   c.up = false;
   ::close(c.fd);
@@ -658,7 +609,7 @@ void ProcessSystem::RestartPartition(uint32_t partition) {
   // already past their commit point ignore both; their retransmitted
   // kCommitLog completes the commit against the successor.
   for (const auto& [core, epoch] : c.last_epoch) {
-    PublishRevocation(*shmem_, abort_status_base_ + core * kWordBytes, epoch);
+    PublishRevocation(shmem(), abort_status_base_ + core * kWordBytes, epoch);
     Message fence;
     fence.type = MsgType::kAbortNotify;
     fence.src = service_core;

@@ -47,26 +47,14 @@
 
 namespace tm2c {
 
-struct ProcessSystemConfig {
-  PlatformDesc platform;  // used for topology/partitioning only
-  uint32_t num_cores = 4;
-  uint32_t num_service = 2;
-  uint64_t shmem_bytes = 4ull << 20;
-  // Directory holding the per-partition, per-generation socket files
-  // (part<p>.g<gen>.sock). Created if missing. Required: socket paths must
-  // be unique per run, so callers pass a fresh (temp) directory.
-  std::string run_dir;
-};
-
 // The deployment is always dedicated: a partition server process cannot
 // interleave an application main the way the multitasked simulator does.
+// SystemConfig::run_dir is required (the socket files live there).
 class ProcessSystem : public SystemBackend {
  public:
-  explicit ProcessSystem(ProcessSystemConfig config);
+  // CHECK-fails on a multitasked strategy or an empty run_dir.
+  explicit ProcessSystem(SystemConfig config);
   ~ProcessSystem() override;
-
-  ProcessSystem(const ProcessSystem&) = delete;
-  ProcessSystem& operator=(const ProcessSystem&) = delete;
 
   void SetCoreMain(uint32_t core, CoreMain main) override;
 
@@ -82,11 +70,7 @@ class ProcessSystem : public SystemBackend {
   void RequestShutdown(uint32_t core) override;
 
   CoreEnv& env(uint32_t core) override;
-  const DeploymentPlan& deployment() const override { return plan_; }
-  SharedMemory& shmem() override { return *shmem_; }
-  ShmAllocator& allocator() override { return *allocator_; }
   bool is_simulated() const override { return false; }
-  const ProcessSystemConfig& config() const { return config_; }
 
   // --- process-specific surface (wired up by TmSystem before Run) ---
 
@@ -188,10 +172,6 @@ class ProcessSystem : public SystemBackend {
   int ConnectWithRetry(const std::string& path);
   static void Reap(Server* server);
 
-  ProcessSystemConfig config_;
-  DeploymentPlan plan_;
-  std::unique_ptr<SharedMemory> shmem_;  // MAP_SHARED: real cross-process words
-  std::unique_ptr<ShmAllocator> allocator_;
   std::vector<CoreMain> mains_;
   // Indexed by core id; exactly one of the two is non-null per core.
   std::vector<std::unique_ptr<AppCore>> app_cores_;

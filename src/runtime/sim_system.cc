@@ -16,14 +16,14 @@ class SimSystem::Core : public CoreEnv {
         drift_factor_(drift_factor),
         // Per-core chaos stream: deterministic regardless of how the cores
         // interleave, and decorrelated from the workload/skew streams.
-        chaos_rng_((sys->config_.chaos.seed + 1) * 0x2545f4914f6cdd1dull + id) {}
+        chaos_rng_((sys->config().chaos.seed + 1) * 0x2545f4914f6cdd1dull + id) {}
 
   uint32_t core_id() const override { return id_; }
-  const DeploymentPlan& plan() const override { return sys_->plan_; }
-  const PlatformDesc& platform() const override { return sys_->config_.platform; }
+  const DeploymentPlan& plan() const override { return sys_->deployment(); }
+  const PlatformDesc& platform() const override { return sys_->config().platform; }
 
   void Send(uint32_t dst, Message msg) override {
-    TM2C_CHECK(dst < sys_->plan_.num_cores());
+    TM2C_CHECK(dst < sys_->deployment().num_cores());
     TM2C_CHECK(dst != id_);
     msg.src = id_;
     // Sender occupancy: marshal the payload into the MPB (or channel line),
@@ -31,7 +31,7 @@ class SimSystem::Core : public CoreEnv {
     sys_->engine_.Sleep(sys_->latency_.SendOverheadPs() + sys_->latency_.PayloadPs(msg.extra.size()));
     // Wire crossing, then deposit into the receiver's inbox.
     SimTime wire = sys_->latency_.WirePs(id_, dst);
-    const ChaosConfig& chaos = sys_->config_.chaos;
+    const ChaosConfig& chaos = sys_->config().chaos;
     if (chaos.msg_jitter_max_ps > 0) {
       wire += chaos_rng_.NextBelow(chaos.msg_jitter_max_ps + 1);
     }
@@ -42,7 +42,7 @@ class SimSystem::Core : public CoreEnv {
       // protocol is allowed to rely on. Clamp each arrival strictly behind
       // the pair's previous one.
       SimTime& last = sys_->pair_last_arrival_[static_cast<size_t>(id_) *
-                                                   sys_->plan_.num_cores() + dst];
+                                                   sys_->deployment().num_cores() + dst];
       if (arrival <= last) {
         arrival = last + 1;
       }
@@ -93,12 +93,12 @@ class SimSystem::Core : public CoreEnv {
 
   uint64_t ShmemRead(uint64_t addr) override {
     WaitForMemory(addr);
-    return sys_->shmem_->LoadWord(addr);
+    return sys_->shmem().LoadWord(addr);
   }
 
   void ShmemWrite(uint64_t addr, uint64_t value) override {
     WaitForMemory(addr);
-    sys_->shmem_->StoreWord(addr, value);
+    sys_->shmem().StoreWord(addr, value);
   }
 
   bool ShmemTestAndSet(uint64_t addr) override {
@@ -106,10 +106,10 @@ class SimSystem::Core : public CoreEnv {
     // the simulator is single-threaded, so after the wait no other core can
     // interleave before the store below.
     WaitForMemory(addr);
-    if (sys_->shmem_->LoadWord(addr) != 0) {
+    if (sys_->shmem().LoadWord(addr) != 0) {
       return false;
     }
-    sys_->shmem_->StoreWord(addr, 1);
+    sys_->shmem().StoreWord(addr, 1);
     return true;
   }
 
@@ -123,8 +123,8 @@ class SimSystem::Core : public CoreEnv {
 
   void Barrier() override { sys_->BarrierWait(this); }
 
-  SharedMemory& shmem() override { return *sys_->shmem_; }
-  ShmAllocator& allocator() override { return *sys_->allocator_; }
+  SharedMemory& shmem() override { return sys_->shmem(); }
+  ShmAllocator& allocator() override { return sys_->allocator(); }
 
  private:
   friend class SimSystem;
@@ -132,9 +132,9 @@ class SimSystem::Core : public CoreEnv {
   Message PopAndPay() {
     Message msg = std::move(inbox_.front());
     inbox_.pop_front();
-    const uint32_t peers = sys_->plan_.PolledPeers(id_);
+    const uint32_t peers = sys_->deployment().PolledPeers(id_);
     SimTime cost = sys_->latency_.RecvOverheadPs(peers) + sys_->latency_.PayloadPs(msg.extra.size());
-    const ChaosConfig& chaos = sys_->config_.chaos;
+    const ChaosConfig& chaos = sys_->config().chaos;
     if (chaos.poll_duplicate_pct > 0 && chaos_rng_.NextPercent(chaos.poll_duplicate_pct)) {
       cost *= 2;  // a wasted poll rotation before the scan that hit
     }
@@ -164,29 +164,25 @@ class SimSystem::Core : public CoreEnv {
   CoreMain main_;
 };
 
-SimSystem::SimSystem(SimSystemConfig config)
-    : config_(std::move(config)),
-      plan_(config_.num_cores, config_.num_service, config_.strategy),
-      latency_(config_.platform) {
-  TM2C_CHECK_MSG(config_.num_cores <= config_.platform.max_cores,
+SimSystem::SimSystem(SystemConfig sys_config)
+    : SystemBackend(std::move(sys_config), /*interprocess=*/false), latency_(config().platform) {
+  const SystemConfig& cfg = config();
+  TM2C_CHECK_MSG(cfg.num_cores <= cfg.platform.max_cores,
                  "more cores requested than the platform has");
-  shmem_ = std::make_unique<SharedMemory>(config_.shmem_bytes);
-  allocator_ = std::make_unique<ShmAllocator>(shmem_.get(), Topology(config_.platform));
-  mc_model_ = std::make_unique<MemControllerModel>(config_.platform, shmem_->size_bytes());
-  engine_.SetChaos(config_.chaos);
-  if (config_.chaos.any()) {
-    pair_last_arrival_.assign(
-        static_cast<size_t>(config_.num_cores) * config_.num_cores, 0);
+  mc_model_ = std::make_unique<MemControllerModel>(cfg.platform, shmem().size_bytes());
+  engine_.SetChaos(cfg.chaos);
+  if (cfg.chaos.any()) {
+    pair_last_arrival_.assign(static_cast<size_t>(cfg.num_cores) * cfg.num_cores, 0);
   }
 
-  Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + 7);
+  Rng rng(cfg.seed * 0x9e3779b97f4a7c15ull + 7);
   const auto skew_max_ps =
-      static_cast<uint64_t>(config_.clock_skew_max_us * static_cast<double>(kPicosPerMicro));
-  for (uint32_t c = 0; c < config_.num_cores; ++c) {
+      static_cast<uint64_t>(cfg.clock_skew_max_us * static_cast<double>(kPicosPerMicro));
+  for (uint32_t c = 0; c < cfg.num_cores; ++c) {
     const SimTime offset = skew_max_ps > 0 ? rng.NextBelow(skew_max_ps + 1) : 0;
     double drift = 1.0;
-    if (config_.clock_drift_ppm > 0.0) {
-      drift = 1.0 + (rng.NextDouble() * 2.0 - 1.0) * config_.clock_drift_ppm * 1e-6;
+    if (cfg.clock_drift_ppm > 0.0) {
+      drift = 1.0 + (rng.NextDouble() * 2.0 - 1.0) * cfg.clock_drift_ppm * 1e-6;
     }
     cores_.push_back(std::make_unique<Core>(this, c, offset, drift));
   }
@@ -222,7 +218,7 @@ CoreEnv& SimSystem::env(uint32_t core) {
 void SimSystem::BarrierWait(Core* core) {
   const uint64_t my_generation = barrier_generation_;
   ++barrier_waiting_;
-  if (barrier_waiting_ == plan_.num_cores()) {
+  if (barrier_waiting_ == deployment().num_cores()) {
     barrier_waiting_ = 0;
     ++barrier_generation_;
     for (uint32_t actor : barrier_blocked_actors_) {

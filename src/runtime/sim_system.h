@@ -21,38 +21,12 @@
 
 namespace tm2c {
 
-struct SimSystemConfig {
-  PlatformDesc platform;
-  uint32_t num_cores = 48;
-  uint32_t num_service = 24;
-  DeployStrategy strategy = DeployStrategy::kDedicated;
-  uint64_t shmem_bytes = 16ull << 20;
-  uint64_t seed = 1;
-  // Per-core clock offsets are drawn uniformly from [0, clock_skew_max_us]
-  // (constant skew; no global clock exists on the SCC).
-  double clock_skew_max_us = 50.0;
-  // Optional per-core drift, uniform in [-ppm, +ppm]. Zero by default; the
-  // Offset-Greedy skew ablation turns it up.
-  double clock_drift_ppm = 0.0;
-  // The per-payload-word messaging cost lives in
-  // PlatformDesc::msg_payload_cycles_per_word (it is a platform property,
-  // charged by the latency model on both ends of a message).
-
-  // Schedule-exploration knobs (src/check/): same-instant tie shuffling in
-  // the engine, per-message delay jitter, stalled/duplicated inbox polls.
-  // Off by default; the chaos harness turns them on per seed. Per-pair FIFO
-  // delivery is preserved under every setting (jittered arrivals are
-  // clamped to stay behind the pair's previous arrival).
-  ChaosConfig chaos;
-};
-
 class SimSystem : public SystemBackend {
  public:
-  explicit SimSystem(SimSystemConfig config);
+  // The clock and chaos fields of SystemConfig apply here; CHECK-fails
+  // when the platform has fewer than num_cores cores.
+  explicit SimSystem(SystemConfig config);
   ~SimSystem() override;
-
-  SimSystem(const SimSystem&) = delete;
-  SimSystem& operator=(const SimSystem&) = delete;
 
   // Installs the program run by `core`. Must be called for every core
   // before Run (cores without a main simply finish immediately).
@@ -64,11 +38,7 @@ class SimSystem : public SystemBackend {
 
   CoreEnv& env(uint32_t core) override;
   SimEngine& engine() { return engine_; }
-  const DeploymentPlan& deployment() const override { return plan_; }
   const LatencyModel& latency() const { return latency_; }
-  SharedMemory& shmem() override { return *shmem_; }
-  ShmAllocator& allocator() override { return *allocator_; }
-  const SimSystemConfig& config() const { return config_; }
   bool is_simulated() const override { return true; }
 
  private:
@@ -77,12 +47,8 @@ class SimSystem : public SystemBackend {
 
   void BarrierWait(Core* core);
 
-  SimSystemConfig config_;
-  DeploymentPlan plan_;
   LatencyModel latency_;
   SimEngine engine_;
-  std::unique_ptr<SharedMemory> shmem_;
-  std::unique_ptr<ShmAllocator> allocator_;
   std::unique_ptr<MemControllerModel> mc_model_;
   std::vector<std::unique_ptr<Core>> cores_;
   bool started_actors_ = false;

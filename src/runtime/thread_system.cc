@@ -1,7 +1,5 @@
 #include "src/runtime/thread_system.h"
 
-#include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -16,69 +14,25 @@
 namespace tm2c {
 namespace {
 
-// One spin-wait iteration that tells the CPU (and SMT sibling) we are in a
-// busy-wait, without giving up the time slice.
-inline void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#else
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
-
-// Escalating wait policy shared by every blocking point of the SPSC
-// transport: pure spinning first (cheap if the peer is running on another
-// CPU), yields next (mandatory on oversubscribed hosts — the peer may need
-// this very CPU), then either parking on the receiver's eventcount (Recv)
-// or short naps (send backpressure, barrier) so a long-idle thread stops
-// burning a host CPU.
-class Backoff {
- public:
-  explicit Backoff(const ThreadSystemConfig& config) : config_(config) {}
-
-  // True once the spin and yield budgets are exhausted: the caller should
-  // fall through to its terminal wait (park or nap).
-  bool Exhausted() const { return rounds_ >= config_.spin_rounds + config_.yield_rounds; }
-
-  void Pause() {
-    ++rounds_;
-    if (rounds_ <= config_.spin_rounds) {
-      CpuRelax();
-    } else if (rounds_ <= config_.spin_rounds + config_.yield_rounds) {
-      std::this_thread::yield();
-    } else {
-      constexpr auto kIdleSleep = std::chrono::microseconds(50);
-      std::this_thread::sleep_for(kIdleSleep);
-    }
-  }
-
-  void Reset() { rounds_ = 0; }
-
- private:
-  const ThreadSystemConfig& config_;
-  uint32_t rounds_ = 0;
-};
+// Slots per directed ring (a power of two). A sender that finds its ring
+// full backs off until the receiver drains it.
+constexpr uint32_t kChannelCapacity = 256;
 
 }  // namespace
 
-class ThreadSystem::Core : public CoreEnv {
+class ThreadSystem::Core final : public HostCore {
  public:
-  Core(ThreadSystem* sys, uint32_t id) : sys_(sys), id_(id) {}
-
-  uint32_t core_id() const override { return id_; }
-  const DeploymentPlan& plan() const override { return sys_->plan_; }
-  const PlatformDesc& platform() const override { return sys_->config_.platform; }
+  Core(ThreadSystem* sys, uint32_t id, bool oversubscribed)
+      : HostCore(sys, id, oversubscribed), sys_(sys) {}
 
   void Send(uint32_t dst, Message msg) override {
-    TM2C_CHECK(dst < sys_->plan_.num_cores());
-    msg.src = id_;
+    TM2C_CHECK(dst < sys_->deployment().num_cores());
+    msg.src = core_id();
     Core* receiver = sys_->cores_[dst].get();
-    // SPSC ring: this thread is the only producer of ring(id_, dst).
+    // SPSC ring: this thread is the only producer of ring(core_id(), dst).
     // A full ring back-pressures us until the receiver drains it.
-    SpscChannel& ring = sys_->ring(id_, dst);
-    Backoff backoff(sys_->config_);
+    SpscChannel& ring = sys_->ring(core_id(), dst);
+    Backoff backoff(oversubscribed());
     while (!ring.TryPush(msg)) {
       backoff.Pause();
       receiver->WakeIfParked();  // a parked receiver cannot drain the ring
@@ -88,7 +42,7 @@ class ThreadSystem::Core : public CoreEnv {
 
   Message Recv() override {
     Message msg;
-    Backoff backoff(sys_->config_);
+    Backoff backoff(oversubscribed());
     for (;;) {
       if (PollRings(&msg)) {
         return msg;
@@ -123,43 +77,16 @@ class ThreadSystem::Core : public CoreEnv {
 
   size_t InboxDepth() const override {
     size_t depth = 0;
-    const uint32_t n = sys_->plan_.num_cores();
+    const uint32_t n = sys_->deployment().num_cores();
     for (uint32_t src = 0; src < n; ++src) {
-      depth += sys_->ring(src, id_).ApproxSize();
+      depth += sys_->ring(src, core_id()).ApproxSize();
     }
     return depth;
   }
 
-  SimTime LocalNow() const override { return HostNowPs(); }
-  SimTime GlobalNow() const override { return HostNowPs(); }
-
-  void Compute(uint64_t core_cycles) override {
-    ComputeSpin(platform(), core_cycles, sys_->oversubscribed_);
-  }
-
-  uint64_t ShmemRead(uint64_t addr) override { return sys_->shmem_->LoadWord(addr); }
-  void ShmemWrite(uint64_t addr, uint64_t value) override {
-    sys_->shmem_->StoreWord(addr, value);
-  }
-
-  bool ShmemTestAndSet(uint64_t addr) override {
-    // Word-level CAS on the shared array — the modelled SCC test-and-set
-    // register, minus the global mutex the v1 backend serialized it with.
-    return sys_->shmem_->CasWord(addr, 0, 1);
-  }
-
-  // The address range only matters to the simulated backend, which charges
-  // DRAM/mesh time for it; on real memory there is nothing to charge and
-  // the caller reads through shmem(), so both stay unnamed by design.
-  void ShmemBulkAccess(uint64_t /*addr*/, uint64_t /*bytes*/) override {}
-
   void Barrier() override {
-    Backoff backoff(sys_->config_);
-    sys_->barrier_.Arrive(sys_->plan_.num_cores(), [&backoff]() { backoff.Pause(); });
+    sys_->barrier_.Arrive(sys_->deployment().num_cores(), oversubscribed());
   }
-
-  SharedMemory& shmem() override { return *sys_->shmem_; }
-  ShmAllocator& allocator() override { return *sys_->allocator_; }
 
  private:
   friend class ThreadSystem;
@@ -169,11 +96,11 @@ class ThreadSystem::Core : public CoreEnv {
   // lane (SendShutdown from outside any core) is polled only when every
   // ring came up empty: protocol traffic drains before a shutdown lands.
   bool PollRings(Message* out) {
-    const uint32_t n = sys_->plan_.num_cores();
+    const uint32_t n = sys_->deployment().num_cores();
     for (uint32_t i = 0; i < n; ++i) {
       const uint32_t src = next_poll_;
       next_poll_ = next_poll_ + 1 == n ? 0 : next_poll_ + 1;
-      if (sys_->ring(src, id_).TryPop(out)) {
+      if (sys_->ring(src, core_id()).TryPop(out)) {
         return true;
       }
     }
@@ -214,7 +141,6 @@ class ThreadSystem::Core : public CoreEnv {
   }
 
   ThreadSystem* sys_;
-  uint32_t id_;
   uint32_t next_poll_ = 0;  // ring scan cursor, receiver thread only
 
   // Injection lane for messages produced outside any core thread
@@ -236,28 +162,20 @@ class ThreadSystem::Core : public CoreEnv {
   CoreMain main_;
 };
 
-ThreadSystem::ThreadSystem(ThreadSystemConfig config)
-    : config_(std::move(config)),
-      plan_(config_.num_cores, config_.num_service, config_.strategy) {
-  TM2C_CHECK_MSG(config_.channel_capacity >= 2, "channel_capacity must be at least 2");
-  // Oversubscribed host (more core threads than CPUs): spinning only
-  // steals cycles from the very peer being waited on. Collapse the budgets
-  // so waiters yield almost immediately and park soon after.
+ThreadSystem::ThreadSystem(SystemConfig sys_config)
+    : SystemBackend(std::move(sys_config), /*interprocess=*/false) {
+  const uint32_t n = deployment().num_cores();
+  // More core threads than host CPUs: waits collapse their spin budgets and
+  // long Compute busy-waits yield.
   const unsigned hw = std::thread::hardware_concurrency();
-  if (hw != 0 && config_.num_cores > hw) {
-    oversubscribed_ = true;
-    config_.spin_rounds = 0;
-    config_.yield_rounds = std::min<uint32_t>(config_.yield_rounds, 16);
+  const bool oversubscribed = hw != 0 && n > hw;
+  for (uint32_t c = 0; c < n; ++c) {
+    cores_.push_back(std::make_unique<Core>(this, c, oversubscribed));
   }
-  shmem_ = std::make_unique<SharedMemory>(config_.shmem_bytes);
-  allocator_ = std::make_unique<ShmAllocator>(shmem_.get(), Topology(config_.platform));
-  for (uint32_t c = 0; c < config_.num_cores; ++c) {
-    cores_.push_back(std::make_unique<Core>(this, c));
-  }
-  rings_.reserve(static_cast<size_t>(config_.num_cores) * config_.num_cores);
-  for (uint32_t src = 0; src < config_.num_cores; ++src) {
-    for (uint32_t dst = 0; dst < config_.num_cores; ++dst) {
-      rings_.push_back(std::make_unique<SpscChannel>(config_.channel_capacity));
+  rings_.reserve(static_cast<size_t>(n) * n);
+  for (uint32_t src = 0; src < n; ++src) {
+    for (uint32_t dst = 0; dst < n; ++dst) {
+      rings_.push_back(std::make_unique<SpscChannel>(kChannelCapacity));
     }
   }
 }
@@ -288,12 +206,12 @@ void ThreadSystem::RunToCompletion() {
       }
     });
 #if defined(__linux__)
-    if (config_.pin_threads) {
+    if (config().pin_threads) {
       const unsigned hw = std::thread::hardware_concurrency();
       if (hw > 0) {
         cpu_set_t set;
         CPU_ZERO(&set);
-        CPU_SET(c->id_ % hw, &set);
+        CPU_SET(c->core_id() % hw, &set);
         // Best effort: a restricted affinity mask (cgroups) may refuse.
         (void)pthread_setaffinity_np(threads.back().native_handle(), sizeof(set), &set);
       }
@@ -314,6 +232,11 @@ SimTime ThreadSystem::Run(SimTime /*until*/) {
 CoreEnv& ThreadSystem::env(uint32_t core) {
   TM2C_CHECK(core < cores_.size());
   return *cores_[core];
+}
+
+bool ThreadSystem::parked(uint32_t core) const {
+  TM2C_CHECK(core < cores_.size());
+  return cores_[core]->parked_.load(std::memory_order_acquire);
 }
 
 }  // namespace tm2c

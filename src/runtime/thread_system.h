@@ -5,8 +5,9 @@
 // pair (src/runtime/spsc_channel.h) — the port of the paper's cache-line
 // channels: senders publish with a release store, receivers scan their
 // incoming rings with acquire loads under an adaptive
-// spin-then-yield-then-park policy, and a full ring back-pressures the
-// sender. Time is the host's steady clock; Compute spins.
+// spin-then-yield-then-park policy (Backoff, host_core.h), and a full ring
+// back-pressures the sender. Time is the host's steady clock; Compute
+// spins.
 #ifndef TM2C_SRC_RUNTIME_THREAD_SYSTEM_H_
 #define TM2C_SRC_RUNTIME_THREAD_SYSTEM_H_
 
@@ -23,40 +24,10 @@
 
 namespace tm2c {
 
-struct ThreadSystemConfig {
-  PlatformDesc platform;  // used for topology/partitioning only
-  uint32_t num_cores = 4;
-  uint32_t num_service = 2;
-  DeployStrategy strategy = DeployStrategy::kDedicated;
-  uint64_t shmem_bytes = 4ull << 20;
-
-  // Bounded ring depth per directed pair (rounded up to a power of two).
-  // A sender that finds the ring full spins/yields until space opens.
-  uint32_t channel_capacity = 256;
-  // Pin core i's thread to host CPU (i mod hardware_concurrency). Off by
-  // default: pinning helps on dedicated many-core hosts and hurts badly on
-  // oversubscribed CI runners.
-  bool pin_threads = false;
-  // Adaptive polling: a blocked receiver runs `spin_rounds` poll scans
-  // back-to-back, then interleaves `yield_rounds` scans with
-  // std::this_thread::yield(), then parks on its eventcount — senders wake
-  // it with one notify, and the common case (receiver polling hot on
-  // another CPU) costs them no syscall at all. On an oversubscribed host
-  // (more core threads than CPUs) both budgets are collapsed at
-  // construction, since spinning there only steals cycles from the peer
-  // being waited on. Non-parking waits (send backpressure, the barrier)
-  // nap briefly once their budgets run out.
-  uint32_t spin_rounds = 200;
-  uint32_t yield_rounds = 4000;
-};
-
 class ThreadSystem : public SystemBackend {
  public:
-  explicit ThreadSystem(ThreadSystemConfig config);
+  explicit ThreadSystem(SystemConfig config);
   ~ThreadSystem() override;
-
-  ThreadSystem(const ThreadSystem&) = delete;
-  ThreadSystem& operator=(const ThreadSystem&) = delete;
 
   void SetCoreMain(uint32_t core, CoreMain main) override;
 
@@ -77,31 +48,23 @@ class ThreadSystem : public SystemBackend {
   void RequestShutdown(uint32_t core) override { SendShutdown(core); }
 
   CoreEnv& env(uint32_t core) override;
-  const DeploymentPlan& deployment() const override { return plan_; }
-  SharedMemory& shmem() override { return *shmem_; }
-  ShmAllocator& allocator() override { return *allocator_; }
   bool is_simulated() const override { return false; }
-  const ThreadSystemConfig& config() const { return config_; }
+
+  // True while `core` is parked on its eventcount: its spin and yield
+  // budgets ran out with nothing to receive. An observer for tests.
+  bool parked(uint32_t core) const;
 
  private:
   class Core;
   friend class Core;
 
   SpscChannel& ring(uint32_t src, uint32_t dst) {
-    return *rings_[static_cast<size_t>(src) * config_.num_cores + dst];
+    return *rings_[static_cast<size_t>(src) * deployment().num_cores() + dst];
   }
 
-  ThreadSystemConfig config_;
-  DeploymentPlan plan_;
-  std::unique_ptr<SharedMemory> shmem_;
-  std::unique_ptr<ShmAllocator> allocator_;
   std::vector<std::unique_ptr<Core>> cores_;
   // num_cores^2 rings, indexed src * num_cores + dst.
   std::vector<std::unique_ptr<SpscChannel>> rings_;
-
-  // More core threads than host CPUs: waiters collapse their spin budgets
-  // and long Compute busy-waits yield (set once at construction).
-  bool oversubscribed_ = false;
 
   HostBarrier barrier_;  // rendezvous of all cores
 };

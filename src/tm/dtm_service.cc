@@ -276,12 +276,8 @@ void DtmService::HandleCommitLog(const Message& msg) {
     }
   }
 
-  std::vector<std::pair<uint64_t, uint64_t>> pairs;
-  pairs.reserve(msg.extra.size() / 2);
-  for (size_t i = 0; i < msg.extra.size(); i += 2) {
-    pairs.emplace_back(msg.extra[i], msg.extra[i + 1]);
-  }
-  const bool checkpoint_due = durability_->LogCommit(msg.src, msg.w1, pairs);
+  const bool checkpoint_due =
+      durability_->LogCommit(msg.src, msg.w1, msg.extra.data(), msg.extra.size());
   // Counted at the append, not at message receipt: the horizon can freeze
   // this fiber inside ChargeProcessing above, and a record counted but
   // never appended would break the exact accounting the durability

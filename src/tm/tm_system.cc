@@ -12,29 +12,15 @@ namespace {
 constexpr uint64_t kStripeBytes = 8;
 
 std::unique_ptr<SystemBackend> MakeBackend(const TmSystemConfig& config) {
-  if (config.backend == BackendKind::kSim) {
-    return std::make_unique<SimSystem>(config.sim);
+  switch (config.backend) {
+    case BackendKind::kSim:
+      return std::make_unique<SimSystem>(config.sim);
+    case BackendKind::kThreads:
+      return std::make_unique<ThreadSystem>(config.sim);
+    case BackendKind::kProcesses:
+      return std::make_unique<ProcessSystem>(config.sim);
   }
-  if (config.backend == BackendKind::kProcesses) {
-    TM2C_CHECK_MSG(config.sim.strategy == DeployStrategy::kDedicated,
-                   "the process backend is dedicated-only (a partition server "
-                   "process cannot interleave an application task)");
-    ProcessSystemConfig pcfg;
-    pcfg.platform = config.sim.platform;
-    pcfg.num_cores = config.sim.num_cores;
-    pcfg.num_service = config.sim.num_service;
-    pcfg.shmem_bytes = config.sim.shmem_bytes;
-    pcfg.run_dir = config.run_dir;
-    return std::make_unique<ProcessSystem>(pcfg);
-  }
-  ThreadSystemConfig tcfg;
-  tcfg.platform = config.sim.platform;
-  tcfg.num_cores = config.sim.num_cores;
-  tcfg.num_service = config.sim.num_service;
-  tcfg.strategy = config.sim.strategy;
-  tcfg.shmem_bytes = config.sim.shmem_bytes;
-  tcfg.pin_threads = config.pin_threads;
-  return std::make_unique<ThreadSystem>(tcfg);
+  TM2C_FATAL("unknown backend");
 }
 
 }  // namespace
@@ -82,7 +68,7 @@ TmSystem::TmSystem(TmSystemConfig config)
         if (config_.backend == BackendKind::kProcesses) {
           // The log must survive the server process: back it with a file
           // in the run directory so a restarted standby can recover it.
-          opts.path = config_.run_dir + "/part" + std::to_string(p) + ".wal";
+          opts.path = config_.sim.run_dir + "/part" + std::to_string(p) + ".wal";
         }
         durability_.push_back(std::make_unique<PartitionDurability>(p, opts));
         service->AttachDurability(durability_.back().get());

@@ -1,12 +1,13 @@
 // Top-level convenience wiring: a many-core running TM2C.
 //
 // TmSystem builds the selected runtime backend — the deterministic
-// simulator (BackendKind::kSim, the default) or real OS threads over
-// lock-free SPSC channels (BackendKind::kThreads) — installs a DtmService
+// simulator (BackendKind::kSim, the default), real OS threads over
+// lock-free SPSC channels (BackendKind::kThreads), or forked partition
+// servers (BackendKind::kProcesses) — installs a DtmService
 // on every service core (dedicated deployment) or on every core
 // (multitasked), and gives each application core a TxRuntime. Benchmarks
 // and examples only provide per-app-core bodies; the same body code runs
-// unmodified on either backend.
+// unmodified on every backend.
 #ifndef TM2C_SRC_TM_TM_SYSTEM_H_
 #define TM2C_SRC_TM_TM_SYSTEM_H_
 
@@ -28,19 +29,12 @@
 namespace tm2c {
 
 struct TmSystemConfig {
-  // Topology, platform, deployment and sizing — shared by both backends
-  // (the thread backend uses platform/num_cores/num_service/strategy/
-  // shmem_bytes and ignores the simulation-only knobs).
-  SimSystemConfig sim;
+  // Topology, platform, deployment, sizing and backend options, handed to
+  // the selected backend unchanged (each backend reads the fields it
+  // needs; see SystemConfig).
+  SystemConfig sim;
   TmConfig tm;
-
   BackendKind backend = BackendKind::kSim;
-  // Thread backend only: pin each core thread to a host CPU.
-  bool pin_threads = false;
-  // Process backend only: directory for the partition sockets and (when
-  // durability is on) the per-partition WAL backing files. Required there,
-  // ignored elsewhere. Pass a fresh per-run (temp) directory.
-  std::string run_dir;
 };
 
 // The process backend's kHostStats exit report, sent by each partition

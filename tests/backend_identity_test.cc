@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/apps/kvstore.h"
 #include "src/apps/ordered_index.h"
@@ -74,8 +75,30 @@ TmSystemConfig ProcessConfig(const std::string& tag) {
   cfg.backend = BackendKind::kProcesses;
   std::string templ = ::testing::TempDir() + "tm2c_bid_" + tag + "_XXXXXX";
   EXPECT_NE(::mkdtemp(templ.data()), nullptr);
-  cfg.run_dir = templ;
+  cfg.sim.run_dir = templ;
   return cfg;
+}
+
+// One SystemConfig builds all three backends unchanged, and each reports
+// the deployment and the shared memory that config describes.
+TEST(BackendIdentity, OneSystemConfigBuildsTheSamePlanAndMemoryOnEveryBackend) {
+  SystemConfig cfg;
+  cfg.platform = MakeOpteronPlatform();
+  cfg.num_cores = 6;
+  cfg.num_service = 2;
+  cfg.shmem_bytes = 1 << 20;
+  cfg.run_dir = ProcessConfig("plan").sim.run_dir;
+  SimSystem sim(cfg);
+  ThreadSystem threads(cfg);
+  ProcessSystem processes(cfg);
+  const std::vector<uint32_t> service_cores = {0, 3};
+  const std::vector<uint32_t> app_cores = {1, 2, 4, 5};
+  SystemBackend* const backends[] = {&sim, &threads, &processes};
+  for (SystemBackend* backend : backends) {
+    EXPECT_EQ(backend->deployment().service_cores(), service_cores);
+    EXPECT_EQ(backend->deployment().app_cores(), app_cores);
+    EXPECT_EQ(backend->shmem().size_bytes(), cfg.shmem_bytes);
+  }
 }
 
 TEST(BackendIdentityDeathTest, ServiceAtFailsUnderProcesses) {

@@ -19,7 +19,7 @@ namespace {
 class ServiceHarness {
  public:
   explicit ServiceHarness(TmConfig tm = TmConfig{}) {
-    SimSystemConfig cfg;
+    SystemConfig cfg;
     cfg.platform = MakeSccPlatform(0);
     cfg.num_cores = 4;
     cfg.num_service = 1;  // core 0
@@ -310,7 +310,7 @@ TEST(DtmService, BatchMisroutedEntryTerminatesPrefix) {
   // containing a stripe that hashes to core 2 must stop the grant prefix at
   // the misrouted entry instead of splitting that stripe's lock state
   // across two tables.
-  SimSystemConfig cfg;
+  SystemConfig cfg;
   cfg.platform = MakeSccPlatform(0);
   cfg.num_cores = 4;
   cfg.num_service = 2;  // service cores 0 and 2
@@ -347,7 +347,7 @@ TEST(DtmService, BatchMisroutedEntryTerminatesPrefix) {
 // second partition to move it to.
 struct MigrationFixture {
   MigrationFixture() {
-    SimSystemConfig cfg;
+    SystemConfig cfg;
     cfg.platform = MakeSccPlatform(0);
     cfg.num_cores = 4;
     cfg.num_service = 2;  // service cores 0 and 2
@@ -531,7 +531,7 @@ struct AdmissionRun {
 };
 
 AdmissionRun RunAdmissionScenario(Transport transport) {
-  SimSystemConfig cfg;
+  SystemConfig cfg;
   cfg.platform = MakeSccPlatform(0);
   cfg.num_cores = 4;
   cfg.num_service = 2;  // service cores 0 and 2

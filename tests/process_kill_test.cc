@@ -42,11 +42,23 @@ void DumpOnFailure(const ProcessKillConfig& cfg, const ProcessKillResult& result
   ADD_FAILURE() << "history dumped to " << path;
 }
 
+// A partition server process cannot interleave an application task, so a
+// multitasked SystemConfig is refused at construction.
+TEST(ProcessSystemDeathTest, MultitaskedStrategyIsRejected) {
+  SystemConfig cfg;
+  cfg.platform = MakeSccPlatform(0);
+  cfg.num_cores = 2;
+  cfg.strategy = DeployStrategy::kMultitasked;
+  cfg.shmem_bytes = 1 << 16;
+  cfg.run_dir = FreshRunDir("multitasked");
+  EXPECT_DEATH(ProcessSystem sys(cfg), "dedicated-only");
+}
+
 // Charge is free and Compute still waits on both kinds of process core:
 // the host-side app core and the forked partition server's service core.
 // The server reports its timings through the MAP_SHARED memory.
 TEST(ProcessSystem, ChargeReturnsAtOnceComputeStillWaitsOnBothCoreKinds) {
-  ProcessSystemConfig cfg;
+  SystemConfig cfg;
   cfg.platform = MakeSccPlatform(0);
   cfg.num_cores = 2;
   cfg.num_service = 1;

@@ -8,8 +8,8 @@
 namespace tm2c {
 namespace {
 
-SimSystemConfig SmallConfig(uint32_t cores = 4, uint32_t service = 2) {
-  SimSystemConfig cfg;
+SystemConfig SmallConfig(uint32_t cores = 4, uint32_t service = 2) {
+  SystemConfig cfg;
   cfg.platform = MakeSccPlatform(0);
   cfg.num_cores = cores;
   cfg.num_service = service;
@@ -173,7 +173,7 @@ TEST(SimSystem, ChargeAdvancesLocalTimeExactlyAsComputeDoes) {
 }
 
 TEST(SimSystem, LocalClockSkewIsStable) {
-  SimSystemConfig cfg = SmallConfig();
+  SystemConfig cfg = SmallConfig();
   cfg.clock_skew_max_us = 100.0;
   SimSystem sys(cfg);
   SimTime offset_a = 0;
@@ -246,7 +246,7 @@ TEST(SimSystem, DeterministicAcrossRuns) {
 }
 
 TEST(SimSystem, RejectsMoreCoresThanPlatform) {
-  SimSystemConfig cfg = SmallConfig();
+  SystemConfig cfg = SmallConfig();
   cfg.num_cores = 64;  // SCC caps at 48
   cfg.num_service = 32;
   EXPECT_DEATH(SimSystem{cfg}, "more cores");

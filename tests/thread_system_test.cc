@@ -16,8 +16,8 @@
 namespace tm2c {
 namespace {
 
-ThreadSystemConfig SmallConfig(uint32_t cores = 4, uint32_t service = 1) {
-  ThreadSystemConfig cfg;
+SystemConfig SmallConfig(uint32_t cores = 4, uint32_t service = 1) {
+  SystemConfig cfg;
   cfg.platform = MakeSccPlatform(0);
   cfg.num_cores = cores;
   cfg.num_service = service;
@@ -52,10 +52,12 @@ TEST(ThreadSystem, PingPongAcrossRealThreads) {
 TEST(ThreadSystem, FifoPerSenderReceiverPairUnderLoad) {
   // Three producers blast one consumer; per-source sequence numbers must
   // arrive monotonically even though the sources interleave arbitrarily.
+  // Each source sends many times the ring depth (constant wraparound), and
+  // the consumer starts late, so every producer first fills its ring and
+  // backs off in Send until the consumer drains it.
   constexpr uint64_t kPerSource = 20000;
-  ThreadSystemConfig cfg = SmallConfig(4);
-  cfg.channel_capacity = 8;  // tiny rings: constant wraparound + backpressure
-  ThreadSystem sys(cfg);
+  constexpr size_t kRingSlots = 256;  // the thread backend's ring depth
+  ThreadSystem sys(SmallConfig(4));
   for (uint32_t src = 1; src < 4; ++src) {
     sys.SetCoreMain(src, [](CoreEnv& env) {
       for (uint64_t i = 0; i < kPerSource; ++i) {
@@ -67,7 +69,13 @@ TEST(ThreadSystem, FifoPerSenderReceiverPairUnderLoad) {
     });
   }
   std::atomic<uint64_t> violations{0};
-  sys.SetCoreMain(0, [&violations](CoreEnv& env) {
+  std::atomic<size_t> depth_at_start{0};
+  sys.SetCoreMain(0, [&violations, &depth_at_start](CoreEnv& env) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (env.InboxDepth() < 3 * kRingSlots && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    depth_at_start = env.InboxDepth();
     uint64_t next_from[4] = {0, 0, 0, 0};
     for (uint64_t received = 0; received < 3 * kPerSource; ++received) {
       Message m = env.Recv();
@@ -78,40 +86,36 @@ TEST(ThreadSystem, FifoPerSenderReceiverPairUnderLoad) {
     }
   });
   sys.RunToCompletion();
+  // Every ring was full when the consumer started: the producers were
+  // back-pressured, not merely slow.
+  EXPECT_EQ(depth_at_start.load(), 3 * kRingSlots);
   EXPECT_EQ(violations.load(), 0u);
 }
 
 TEST(ThreadSystem, ShutdownWakesReceiverBlockedInRecv) {
   // The receiver parks in Recv with nothing in flight; SendShutdown from
   // the harness thread (outside any core) must wake it. Covers the SPSC
-  // injection lane and its eventcount wake.
-  ThreadSystemConfig cfg = SmallConfig(2);
-  cfg.spin_rounds = 0;  // park almost immediately: the worst case
-  cfg.yield_rounds = 1;
-  ThreadSystem sys(cfg);
+  // injection lane and its eventcount wake. The harness sends only once
+  // the receiver has spent its spin and yield budgets and parked.
+  ThreadSystem sys(SmallConfig(2));
   std::atomic<bool> got_shutdown{false};
-  std::atomic<bool> receiver_entered{false};
+  std::atomic<bool> saw_park{false};
   sys.SetCoreMain(0, [&](CoreEnv& env) {
-    receiver_entered = true;
     Message m = env.Recv();
     got_shutdown = m.type == MsgType::kShutdown;
   });
-  sys.SetCoreMain(1, [&](CoreEnv&) {
-    while (!receiver_entered.load()) {
-      std::this_thread::yield();
+  sys.SetCoreMain(1, [](CoreEnv&) {});
+  std::thread harness([&sys, &saw_park]() {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!sys.parked(0) && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    // Give the receiver time to actually park before the shutdown.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  });
-  std::thread harness([&sys, &receiver_entered]() {
-    while (!receiver_entered.load()) {
-      std::this_thread::yield();
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    saw_park = sys.parked(0);
     sys.SendShutdown(0);
   });
   sys.RunToCompletion();
   harness.join();
+  EXPECT_TRUE(saw_park.load());
   EXPECT_TRUE(got_shutdown.load());
 }
 

@@ -119,7 +119,7 @@ TEST(ThreadTm, ScansSeeConsistentPairs) {
 // that window; the service must wait it out before the grant is sent, and
 // then publish the victim's epoch.
 TEST(ThreadTmLostUpdate, RevocationWaitsOutAPersistInProgress) {
-  ThreadSystemConfig cfg;
+  SystemConfig cfg;
   cfg.platform = MakeOpteronPlatform();
   cfg.num_cores = 3;
   cfg.num_service = 1;  // core 0
